@@ -153,6 +153,47 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
+# coordinate-major walk kernels: points (ambient, n), frames (d, ambient, n),
+# increments (d, n); every reduction runs over a short leading axis as a sum
+# of whole rows, so each path's arithmetic is independent of the batch
+
+def _frame_combination(F: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """V = sum_i dB_i F_i, shape (ambient, n)."""
+    V = dB[0] * F[0]
+    for i in range(1, len(dB)):
+        V += dB[i] * F[i]
+    return V
+
+
+def _column_sq(V: np.ndarray) -> np.ndarray:
+    """Euclidean squared norm of each column of V, shape (n,)."""
+    acc = V[0] * V[0]
+    for j in range(1, len(V)):
+        acc += V[j] * V[j]
+    return acc
+
+
+def _rank_one_move(P, F, dB, V, s, c, b, g):
+    """Exact geodesic move of P along V = s u, and the transported frames.
+
+    The new point is ``c P + b u`` and the transported unit direction is
+    ``u_s = g P + c u``; directions orthogonal to u are unchanged.  So each
+    frame vector F_i gains ``<F_i, u> (u_s - u)``, and ``<F_i, u> = dB_i / s``
+    because the frame is orthonormal and ``V = sum_j dB_j F_j``: the
+    transport is one rank-one update of the whole frame.  Zero steps
+    (``s < 1e-300``) divide by 1 instead of s: there ``c = 1`` and b, g, V
+    vanish, so point and frame stay put.
+    """
+    s = np.where(s < 1e-300, 1.0, s)
+    u = V / s
+    Pn = c * P
+    Pn += b * u
+    du = g * P
+    du += (c - 1.0) * u
+    return Pn, F + (dB / s)[:, None, :] * du
+
+
+# ---------------------------------------------------------------------------
 # manifold models
 
 class ManifoldModel:
@@ -187,6 +228,13 @@ class ManifoldModel:
         """Riemannian inner product of ambient tangent representatives."""
         return np.sum(U * V, axis=-1)
 
+    def metric_sign(self) -> np.ndarray:
+        """Diagonal of the ambient bilinear form (Minkowski-aware pairing)."""
+        s = np.ones(self.ambient_dim)
+        if self.kind == "hyperbolic":
+            s[-1] = -1.0
+        return s
+
     def project_tangent(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -211,12 +259,17 @@ class ManifoldModel:
         """A deterministic orthonormal tangent frame, shape (n, d, ambient)."""
         raise NotImplementedError
 
-    def transport_frame(self, X: np.ndarray, U: np.ndarray, F: np.ndarray) -> np.ndarray:
-        n, d, amb = F.shape
-        flat = F.reshape(n * d, amb)
-        Xr = np.repeat(X, d, axis=0)
-        Ur = np.repeat(U, d, axis=0)
-        return self.transport(Xr, Ur, flat).reshape(n, d, amb)
+    def walk_step(self, P: np.ndarray, F: np.ndarray, dB: np.ndarray):
+        """One geodesic-walk move with its frame transport, coordinate major.
+
+        ``P`` (ambient, n) are points, ``F`` (d, ambient, n) orthonormal
+        frames at them and ``dB`` (d, n) frame-coordinate increments.  Moves
+        each point along ``exp(V)`` with ``V = sum_i dB_i F_i``, transports
+        its frame parallel along that geodesic and retracts; returns the
+        new ``(P, F)``.  Equals ``retract(exp(X, V))`` and per-vector
+        ``transport`` up to round-off.
+        """
+        raise NotImplementedError
 
     # -- measure -----------------------------------------------------------
     def ball_volume(self, r: float) -> float:
@@ -278,8 +331,8 @@ class Euclidean(ManifoldModel):
         n = X.shape[0]
         return np.broadcast_to(np.eye(self.dim), (n, self.dim, self.dim)).copy()
 
-    def transport_frame(self, X, U, F):
-        return F
+    def walk_step(self, P, F, dB):
+        return P + _frame_combination(F, dB), F
 
     def ball_volume(self, r):
         return unit_ball_volume(self.dim) * r ** self.dim
@@ -332,8 +385,8 @@ class Torus(ManifoldModel):
         n = X.shape[0]
         return np.broadcast_to(np.eye(self.dim), (n, self.dim, self.dim)).copy()
 
-    def transport_frame(self, X, U, F):
-        return F
+    def walk_step(self, P, F, dB):
+        return self.retract(P + _frame_combination(F, dB)), F
 
     def ball_volume(self, r):
         d = self.dim
@@ -421,6 +474,15 @@ class Sphere(ManifoldModel):
         uhat_s = -np.sin(s / a) * X / a + np.cos(s / a) * uhat
         out = W + c * (uhat_s - uhat)
         return np.where(small, W, out)
+
+    def walk_step(self, P, F, dB):
+        a = self.radius
+        V = _frame_combination(F, dB)
+        s = np.sqrt(_column_sq(V))
+        cs, sn = np.cos(s / a), np.sin(s / a)
+        P, F = _rank_one_move(P, F, dB, V, s, cs, a * sn, -sn / a)
+        P *= a / np.sqrt(_column_sq(P))
+        return P, F
 
     def distance(self, X, Y):
         a = self.radius
@@ -543,6 +605,15 @@ class Hyperbolic(ManifoldModel):
         uhat_s = a * np.sinh(a * s) * X + np.cosh(a * s) * uhat
         out = W + c * (uhat_s - uhat)
         return np.where(small, W, out)
+
+    def walk_step(self, P, F, dB):
+        a = self.scale
+        V = _frame_combination(F, dB)
+        s = np.sqrt(np.maximum(_column_sq(V[:-1]) - V[-1] * V[-1], 0.0))
+        ch, sh = np.cosh(a * s), np.sinh(a * s)
+        P, F = _rank_one_move(P, F, dB, V, s, ch, sh / a, a * sh)
+        P *= 1.0 / (a * np.sqrt(P[-1] * P[-1] - _column_sq(P[:-1])))
+        return P, F
 
     def distance(self, X, Y):
         a = self.scale
@@ -735,6 +806,7 @@ def commutation_residual(m: ManifoldModel, f: ScalarField, x: Point,
     kappa = m.sectional_curvature
     ric_scale = (d - 1) * kappa
     g0 = grad_at(X)[0]
+    sgn = m.metric_sign()
 
     worst = 0.0
     for i in range(d):
@@ -752,24 +824,16 @@ def commutation_residual(m: ManifoldModel, f: ScalarField, x: Point,
             ym = m.retract(m.exp(X, -h * ej))
             eip = m.transport(X, h * ej, ei[None, :])[0]
             eim = m.transport(X, -h * ej, ei[None, :])[0]
-            vp = float(np.dot(grad_at(yp)[0] * _metric_sign(m), eip))
-            vm = float(np.dot(grad_at(ym)[0] * _metric_sign(m), eim))
-            v0 = float(np.dot(g0 * _metric_sign(m), ei))
+            vp = float(np.dot(grad_at(yp)[0] * sgn, eip))
+            vm = float(np.dot(grad_at(ym)[0] * sgn, eim))
+            v0 = float(np.dot(g0 * sgn, ei))
             t2 += (vp - 2.0 * v0 + vm) / h ** 2
 
         # term 3: df(Ric# e_i)
-        t3 = ric_scale * float(np.dot(g0 * _metric_sign(m), ei))
+        t3 = ric_scale * float(np.dot(g0 * sgn, ei))
 
         worst = max(worst, abs(t1 - t2 + t3))
     return worst
-
-
-def _metric_sign(m: ManifoldModel) -> np.ndarray:
-    """Diagonal of the ambient bilinear form (Minkowski-aware pairing)."""
-    s = np.ones(m.ambient_dim)
-    if isinstance(m, Hyperbolic):
-        s[-1] = -1.0
-    return s
 
 
 def field_consistency_error(m: ManifoldModel, f: ScalarField, X: np.ndarray,
@@ -782,7 +846,7 @@ def field_consistency_error(m: ManifoldModel, f: ScalarField, X: np.ndarray,
     n = X.shape[0]
     d = m.dim
     F = m.frame(X)
-    sgn = _metric_sign(m)
+    sgn = m.metric_sign()
     scale = max(1.0, float(np.max(np.abs(f.eval_fn(X)))))
 
     g = f.grad_fn(X)
@@ -1026,7 +1090,7 @@ def gaussian_bump_field(m: ManifoldModel, center: Optional[np.ndarray] = None,
         # f = exp(lam (u - u0)) with u = <x, c> in the ambient pairing and u0
         # its value at the center; globally smooth, Gaussian-shaped near c.
         # Hess u = cfac * u * g by the second fundamental form of the model.
-        sgn = _metric_sign(m)
+        sgn = m.metric_sign()
         if isinstance(m, Sphere):
             a2 = m.radius ** 2
             u0 = a2

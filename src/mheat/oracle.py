@@ -303,7 +303,7 @@ def _radial_assemble(m: Hyperbolic, X, y, rho, p, dp, d2p, pt, frames):
     dir_away = -L / r[:, None]  # unit grad of rho
     grad = dp[:, None] * dir_away
     drho = np.einsum("nda,na->nd",
-                     frames * _msign(m)[None, None, :], dir_away)
+                     frames * m.metric_sign()[None, None, :], dir_away)
     eye = np.eye(d)
     coth = a / np.tanh(a * r)
     proj = eye[None, :, :] - drho[:, :, None] * drho[:, None, :]
@@ -314,13 +314,6 @@ def _radial_assemble(m: Hyperbolic, X, y, rho, p, dp, d2p, pt, frames):
     grad = np.where(small[:, None], 0.0, grad)
     lap_geo = np.einsum("nii->n", hess)
     return {"p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo, "hess": hess}
-
-
-def _msign(m):
-    s = np.ones(m.ambient_dim)
-    if m.kind == "hyperbolic":
-        s[-1] = -1.0
-    return s
 
 
 def _h2_fields(m: Hyperbolic, X, y, t, frames):

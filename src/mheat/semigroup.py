@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ManifoldModel, Point, ScalarField, TangentVector
-from .transport import ChunkWalk, frame_components, q_decay_factor
+from .transport import ChunkWalk, _check_grid, frame_components, q_decay_factor
 
 __all__ = [
     "McEstimate",
@@ -221,14 +221,6 @@ def _chunked_mc(worker, n_units: int, chunk_size: int, threads: Optional[int]) -
     return acc
 
 
-def _grid_steps(t: float, h: float) -> int:
-    n = t / h
-    nr = round(n)
-    if abs(n - nr) > 1e-9 * max(1.0, n):
-        raise ValueError(f"t/h = {n} is not an integer number of steps")
-    return int(nr)
-
-
 def _pair_reduce(values: np.ndarray, antithetic: bool) -> np.ndarray:
     if not antithetic:
         return values
@@ -245,14 +237,11 @@ def _unit_count(n_paths: int, antithetic: bool) -> int:
 
 def _vw_components(m: ManifoldModel, x: Point, v: TangentVector,
                    w: Optional[TangentVector] = None):
-    F0 = m.frame(np.asarray(x.coords)[None, :])[0]
-    sgn = np.ones(m.ambient_dim)
-    if m.kind == "hyperbolic":
-        sgn[-1] = -1.0
-    vbar = (F0 * sgn[None, :]) @ np.asarray(v.comps)
+    F0 = m.frame(np.asarray(x.coords)[None, :])[0] * m.metric_sign()[None, :]
+    vbar = F0 @ np.asarray(v.comps)
     if w is None:
         return vbar, None
-    wbar = (F0 * sgn[None, :]) @ np.asarray(w.comps)
+    wbar = F0 @ np.asarray(w.comps)
     return vbar, wbar
 
 
@@ -266,7 +255,7 @@ def estimate_pt(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     """P_t f(x) as the sample mean of f(X_t)."""
     if n_paths < 2:
         raise ValueError("need at least two paths")
-    n_steps = _grid_steps(t, h)
+    n_steps = _check_grid(t, h)
     x0 = np.asarray(x.coords)
 
     def worker(ulo, uhi):
@@ -288,7 +277,7 @@ def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
                       threads: Optional[int] = None,
                       mode: str = "endpoint") -> McEstimate:
     """Mean of an arbitrary endpoint functional fn(points, frames)."""
-    n_steps = _grid_steps(t, h)
+    n_steps = _check_grid(t, h)
     x0 = np.asarray(x.coords)
 
     def worker(ulo, uhi):
@@ -309,7 +298,7 @@ def estimate_grad(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     """<grad P_t f(x), v> = E[<grad f(X_t), Q_t v>] via damped transport."""
     if f.grad_fn is None:
         raise ValueError("estimate_grad needs a gradient oracle for f")
-    n_steps = _grid_steps(t, h)
+    n_steps = _check_grid(t, h)
     x0 = np.asarray(x.coords)
     vbar, _ = _vw_components(m, x, v)
     qT = float(q_decay_factor(m, t))
@@ -327,10 +316,16 @@ def estimate_grad(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
 
 def _w_chunk_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
                     qv: np.ndarray, qw: np.ndarray, damp: float) -> np.ndarray:
+    """One step of the W recursion for a chunk, frame components (d, n).
+
+    ``W`` and ``dB`` are (d, n); ``qv``, ``qw`` are the (d,) damped-transport
+    images of v and w.  On constant curvature R(dB, qv) qw reduces to
+    kappa (<qv, qw> dB - <dB, qw> qv).
+    """
     kappa = m.sectional_curvature
     if kappa == 0.0:
         return damp * W
-    incr = kappa * (float(np.dot(qv, qw)) * dB - (dB @ qw)[:, None] * qv[None, :])
+    incr = kappa * (float(np.dot(qv, qw)) * dB - qv[:, None] * (qw @ dB)[None, :])
     return damp * W + incr
 
 
@@ -348,7 +343,7 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     cfg = cfg or HessianEstimatorConfig()
     if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
         cfg.validate_profiles(t)
-    n_steps = _grid_steps(t, h)
+    n_steps = _check_grid(t, h)
     x0 = np.asarray(x.coords)
     vbar, wbar = _vw_components(m, x, v, w)
     d = m.dim
@@ -363,29 +358,32 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
         lo, hi = (2 * ulo, 2 * uhi) if antithetic else (ulo, uhi)
         walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi, antithetic=antithetic)
         n = walk.n_paths
-        W = np.zeros((n, d))
+        # per-step work on (d, n) arrays: dB.T of the yielded view is the
+        # walk's contiguous increment row block
+        W = np.zeros((d, n))
         if mode == "bismut":
             IW = np.zeros(n)
             Iv = np.zeros(n)
             Iw = np.zeros(n)
             for k, dB in walk.steps():
+                dB = dB.T
                 qk = qvals[k]
                 if kd[k] != 0.0:
-                    IW += kd[k] * np.sum(W * dB, axis=1)
-                    Iv += kd[k] * qk * (dB @ vbar)
+                    IW += kd[k] * np.einsum("dn,dn->n", W, dB)
+                    Iv += kd[k] * qk * (vbar @ dB)
                 if ld[k] != 0.0:
-                    Iw += ld[k] * qk * (dB @ wbar)
+                    Iw += ld[k] * qk * (wbar @ dB)
                 W = _w_chunk_update(m, W, dB, qk * vbar, qk * wbar, damp)
             fv = f.eval_fn(walk.points)
             vals = -0.5 * fv * IW + 0.25 * fv * Iw * Iv
         else:
             for k, dB in walk.steps():
-                W = _w_chunk_update(m, W, dB, qvals[k] * vbar, qvals[k] * wbar, damp)
+                W = _w_chunk_update(m, W, dB.T, qvals[k] * vbar, qvals[k] * wbar, damp)
             qT = float(q_decay_factor(m, t))
             H = f.hess_fn(walk.points, walk.frames)
             term1 = qT * qT * np.einsum("nij,i,j->n", H, vbar, wbar)
             gc = frame_components(m, walk.frames, f.grad_fn(walk.points))
-            vals = term1 + np.sum(gc * W, axis=1)
+            vals = term1 + np.einsum("nd,dn->n", gc, W)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite Hessian sample")
         return _pair_reduce(vals, antithetic)

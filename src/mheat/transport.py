@@ -8,6 +8,15 @@ is the geometric Laplacian (the heat semigroup convention used throughout:
 eigenfunctions decay like ``exp(-lambda t)`` with lambda the positive
 eigenvalue).
 
+The batched walk (:class:`ChunkWalk`) stores its state coordinate major --
+points (ambient, n), frames (d, ambient, n), increments (n_steps, d, n) --
+so every per-step operation is a whole-row numpy call over the n paths
+rather than a reduction over a length-3 inner axis.  One step is
+:meth:`ManifoldModel.walk_step`: the move along ``V = sum_i dB_i F_i`` and
+the frame transport share one evaluation of the trigonometric functions,
+and the transport is a single rank-one update because the frame components
+of the unit step direction are ``dB / |V|`` (the frame is orthonormal).
+
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
 sits at a fixed offset in a Philox stream keyed by the 64-bit seed, so any
 chunk of paths can be generated independently of scheduling and results are
@@ -68,10 +77,12 @@ def increment_block(seed: int, n_steps: int, d: int, h: float,
     bg = np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
     bg.advance((path_lo * stride) // 4)
     u = np.random.Generator(bg).random(n * stride)
-    u = u.reshape(n, stride)[:, :n_steps * d]
-    u = np.where(u <= 0.0, 2.0 ** -54, u)
-    z = ndtri(u)
-    return math.sqrt(2.0 * h) * z.reshape(n, n_steps, d)
+    # transformed in place: the uniforms become the increments
+    z = u.reshape(n, stride)[:, :n_steps * d]
+    z[z <= 0.0] = 2.0 ** -54
+    ndtri(z, out=z)
+    z *= math.sqrt(2.0 * h)
+    return z.reshape(n, n_steps, d)
 
 
 def q_decay_factor(m: ManifoldModel, s) -> np.ndarray:
@@ -126,9 +137,17 @@ class TransportState:
 class ChunkWalk:
     """Vectorized geodesic random walk for a contiguous block of paths.
 
-    All paths start at the same point.  The walk exposes a generator over
-    steps; observers read ``points``/``frames`` (state at the left node) and
-    the yielded increments, both in fixed path order.
+    All paths start at the same point, or at one point each when ``x0`` is
+    a batch.  The walk exposes a generator over steps; observers read
+    ``points``/``frames`` (state at the left node) and the yielded
+    increments, both in fixed path order.
+
+    State is held coordinate major -- points (ambient, n), frames
+    (d, ambient, n), increments step major (n_steps, d, n) -- so that each
+    step is one :meth:`ManifoldModel.walk_step` of whole-row operations.
+    ``points`` (n, ambient), ``frames`` (n, d, ambient) and ``increments``
+    (n, n_steps, d) are transposed views of that state, and the (n, d)
+    increments yielded per step are views whose ``.T`` is contiguous.
     """
 
     def __init__(self, m: ManifoldModel, x0: np.ndarray, t: float, n_steps: int,
@@ -146,45 +165,54 @@ class ChunkWalk:
             # physical paths 2m, 2m+1 share stream m with flipped signs
             lo_s, hi_s = path_lo // 2, (path_hi + 1) // 2
             base = increment_block(seed, n_steps, m.dim, self.h, lo_s, hi_s)
-            inc = np.empty((n, n_steps, m.dim))
-            idx = np.arange(path_lo, path_hi)
-            signs = np.where(idx % 2 == 0, 1.0, -1.0)
-            inc[:] = base[(idx // 2) - lo_s] * signs[:, None, None]
-            self.increments = inc
+            streams = np.arange(path_lo, path_hi) // 2 - lo_s
+            inc = np.empty((n_steps, m.dim, n))
+            # the indices are in range; mode="clip" lets take fill inc directly
+            # where the default mode would buffer a second full block
+            np.take(base.transpose(1, 2, 0), streams, axis=2, out=inc, mode="clip")
+            inc[:, :, (path_lo + 1) % 2::2] *= -1.0  # odd physical paths
+            self._inc = inc
         else:
-            self.increments = increment_block(seed, n_steps, m.dim, self.h,
-                                              path_lo, path_hi)
+            base = increment_block(seed, n_steps, m.dim, self.h, path_lo, path_hi)
+            self._inc = np.ascontiguousarray(base.transpose(1, 2, 0))
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 2:
             if x0.shape[0] != n:
                 raise ValueError("batch of start points must match the path count")
-            self.points = x0.copy()
-            self.frames = m.frame(x0)
+            self._P = np.ascontiguousarray(x0.T)
+            self._F = np.ascontiguousarray(m.frame(x0).transpose(1, 2, 0))
         else:
-            self.points = np.broadcast_to(x0, (n, m.ambient_dim)).copy()
+            self._P = np.repeat(x0[:, None], n, axis=1)
             f0 = m.frame(x0[None, :])[0]
-            self.frames = np.broadcast_to(f0, (n, m.dim, m.ambient_dim)).copy()
+            self._F = np.repeat(f0[:, :, None], n, axis=2)
         self.n_paths = n
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._P.T
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self._F.transpose(2, 0, 1)
+
+    @property
+    def increments(self) -> np.ndarray:
+        return self._inc.transpose(2, 0, 1)
 
     def step(self, k: int) -> np.ndarray:
         """Advance every path by step k; returns the increments used."""
-        m = self.m
-        dB = self.increments[:, k, :]
-        V = np.einsum("nd,nda->na", dB, self.frames)
-        new_frames = m.transport_frame(self.points, V, self.frames)
-        self.points = m.retract(m.exp(self.points, V))
-        self.frames = new_frames
-        if not np.all(np.isfinite(self.points)):
-            bad = int(np.argmax(~np.all(np.isfinite(self.points), axis=1)))
+        self._P, self._F = self.m.walk_step(self._P, self._F, self._inc[k])
+        if not np.all(np.isfinite(self._P)):
+            bad = int(np.argmax(~np.all(np.isfinite(self._P), axis=0)))
             raise FloatingPointError(
                 f"path diverged at step {k} (chunk-local index {bad})")
-        return dB
+        return self._inc[k].T
 
     def steps(self):
         """Yield (k, increments) with the walk state at the left node; the
         move executes when the generator resumes."""
         for k in range(self.n_steps):
-            yield k, self.increments[:, k, :]
+            yield k, self._inc[k].T
             self.step(k)
 
     def run(self):
@@ -294,7 +322,7 @@ def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
     h = path.step
     kappa = m.sectional_curvature
     F0 = path.frames[0]
-    sgn = _ambient_sign(m)
+    sgn = m.metric_sign()
     vbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(v.comps))
     wbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(w.comps))
     damp = math.exp(-h * (d - 1) * kappa)
@@ -320,7 +348,7 @@ def w_process_generic(m: ManifoldModel, path: PathRecord, q: np.ndarray,
     pkg = curvature_package(m, x0, OrthonormalFrame(x0, path.frames[0]))
     drift3 = pkg.dstar_r + pkg.ricci_sharp_grad
     damp = expm(-h * pkg.ricci)
-    sgn = _ambient_sign(m)
+    sgn = m.metric_sign()
     F0 = path.frames[0]
     vbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(v.comps))
     wbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(w.comps))
@@ -335,17 +363,10 @@ def w_process_generic(m: ManifoldModel, path: PathRecord, q: np.ndarray,
     return out
 
 
-def _ambient_sign(m: ManifoldModel) -> np.ndarray:
-    s = np.ones(m.ambient_dim)
-    if m.kind == "hyperbolic":
-        s[-1] = -1.0
-    return s
-
-
 def frame_components(m: ManifoldModel, frames: np.ndarray,
                      ambient_vecs: np.ndarray) -> np.ndarray:
     """Components of ambient tangent vectors in given frames, batched."""
-    sgn = _ambient_sign(m)
+    sgn = m.metric_sign()
     return np.einsum("nda,na->nd", frames * sgn[None, None, :], ambient_vecs)
 
 

@@ -33,7 +33,7 @@ from .geometry import (
     curvature_package,
 )
 from .oracle import QuadratureGrid, kernel_on_grid, lp_norm, quadrature_grid
-from .semigroup import RunningMoments, default_theta, derive_seed
+from .semigroup import RunningMoments, _w_chunk_update, default_theta, derive_seed
 from .spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
@@ -290,7 +290,7 @@ def _weighted_integrals(m: ManifoldModel, cfg: BoundCheckConfig, s: float,
     out = kernel_on_grid(m, grid.nodes, y, s, frames=grid.frames(m))
     rho = m.distance(grid.nodes, np.broadcast_to(y, grid.nodes.shape))
     weight = np.exp(gamma * rho * rho / s)
-    gsq = np.sum(out["grad"] * out["grad"] * _gsign(m)[None, :], axis=1)
+    gsq = np.sum(out["grad"] * out["grad"] * m.metric_sign()[None, :], axis=1)
     hs2 = np.sum(out["hess"] ** 2, axis=(1, 2))
     i1_density = (out["p"] ** 2 + s * gsq + s * s * out["lap"] ** 2) * weight
     i2_density = hs2 * weight
@@ -306,13 +306,6 @@ def _weighted_integrals(m: ManifoldModel, cfg: BoundCheckConfig, s: float,
         unreliable = tail1 > 0.01 * abs(i1) or tail2 > 0.01 * abs(i2)
     hnorm = np.linalg.norm(out["hess"], ord=2, axis=(1, 2))
     return i1, i2, unreliable, hnorm, rho
-
-
-def _gsign(m):
-    s = np.ones(m.ambient_dim)
-    if m.kind == "hyperbolic":
-        s[-1] = -1.0
-    return s
 
 
 def _weighted_l2_reports(m: ManifoldModel, cfg: BoundCheckConfig,
@@ -521,10 +514,9 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
                        n_paths: int, h: float, seed: int):
     """Shared-path estimates of Hess P_t f and the domination ingredients."""
     d = m.dim
-    kappa = m.sectional_curvature
     n_steps = max(2, int(round(t / h)))
     hh = t / n_steps
-    damp = math.exp(-hh * (d - 1) * kappa)
+    damp = math.exp(-hh * (d - 1) * m.sectional_curvature)
     pairs = [(i, j) for i in range(d) for j in range(d)]
     x0 = np.asarray(x.coords)
     qvals = q_decay_factor(m, np.arange(n_steps) * hh)
@@ -534,17 +526,13 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
         hi = min(lo + chunk, n_paths)
         walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi)
         n = walk.n_paths
-        W = {pr: np.zeros((n, d)) for pr in pairs}
+        W = {pr: np.zeros((d, n)) for pr in pairs}
         eye = np.eye(d)
         for k, dB in walk.steps():
             q = qvals[k]
             for (i, j) in pairs:
-                if kappa != 0.0:
-                    qv = q * eye[i]
-                    qw = q * eye[j]
-                    incr = kappa * (float(np.dot(qv, qw)) * dB
-                                    - (dB @ qw)[:, None] * qv[None, :])
-                    W[(i, j)] = damp * W[(i, j)] + incr
+                W[(i, j)] = _w_chunk_update(m, W[(i, j)], dB.T, q * eye[i],
+                                            q * eye[j], damp)
         qT = float(q_decay_factor(m, t))
         H = f.hess_fn(walk.points, walk.frames)
         G = f.grad_fn(walk.points)
@@ -552,14 +540,14 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
         fv = f.eval_fn(walk.points)
         hess_samples = qT * qT * H.reshape(n, d * d).copy()
         for idx, (i, j) in enumerate(pairs):
-            hess_samples[:, idx] += np.sum(gc * W[(i, j)], axis=1)
+            hess_samples[:, idx] += np.einsum("nd,dn->n", gc, W[(i, j)])
         gram = np.zeros((n, len(pairs), len(pairs)))
         for a, pa in enumerate(pairs):
             for b, pb in enumerate(pairs):
                 if b < a:
                     gram[:, a, b] = gram[:, b, a]
                 else:
-                    gram[:, a, b] = np.sum(W[pa] * W[pb], axis=1)
+                    gram[:, a, b] = np.einsum("dn,dn->n", W[pa], W[pb])
         hs2 = np.sum(H * H, axis=(1, 2))
         gsq = np.sum(gc * gc, axis=1)
         block = np.concatenate([
