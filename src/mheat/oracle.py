@@ -8,13 +8,21 @@ density is ``(4 pi t)^{-d/2} exp(-rho^2 / 4t)`` and spectral sums decay like
 Implemented kernels:
 
 * euclidean: exact Gaussian with analytic derivatives
-* torus: wrapped Gaussian image sum, truncated at relative 1e-14
+* torus: wrapped Gaussian, evaluated as a product over axes of 1-d image
+  sums theta(D_a) (and theta', theta'' for the derivatives), truncated at
+  relative 1e-14; 2k + 1 images per axis instead of (2k + 1)^d
 * sphere (d = 2): Legendre spectral sum with exact derivatives through the
   ambient pairing u = <x, y>
 * hyperbolic d = 3: elementary closed form
 * hyperbolic d = 2: fixed-rule quadrature of the classical integral
   representation; spatial/time derivatives by Richardson finite differences
   through the exact exponential map
+
+The euclidean, torus and sphere kernels share one core per model, evaluated
+on broadcast (x, y) pairs with an ambient Hessian.  ``kernel_on_grid``
+contracts it with the frame at each x; ``kernel_hess_quadrature`` sums it
+over many sources y in blocked pair batches before contracting, which turns
+a kernel quadrature sum_j c_j Hess_x p_t(x, y_j) into one blocked pass.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ __all__ = [
     "OracleError",
     "heat_kernel",
     "kernel_on_grid",
+    "kernel_hess_quadrature",
     "quadrature_grid",
     "lp_norm",
 ]
@@ -87,52 +96,75 @@ class QuadratureGrid:
 
 
 # ---------------------------------------------------------------------------
-# per-model kernel cores (vectorized over x)
+# per-model kernel cores
+#
+# The Euclidean, torus and sphere cores take broadcast (x, y) pairs, arrays
+# of shape (..., ambient), and return the kernel fields with the Hessian as
+# an ambient (..., ambient, ambient) matrix; callers contract it with tangent
+# frames.  ``full=False`` returns only the Hessian (and the sphere's
+# reliability flag), which is all the source-batched quadrature needs.
 
-def _euclidean_fields(m: Euclidean, X, y, t, frames):
+def _euclidean_fields(m: Euclidean, X, Y, t, full=True):
     d = m.dim
-    D = X - y[None, :]
-    rho2 = np.sum(D * D, axis=1)
+    D = X - Y
+    rho2 = np.sum(D * D, axis=-1)
     p = (4.0 * math.pi * t) ** (-d / 2) * np.exp(-rho2 / (4.0 * t))
-    grad = -p[:, None] * D / (2.0 * t)
+    hess = p[..., None, None] * (D[..., :, None] * D[..., None, :] / (4.0 * t * t)
+                                 - np.eye(d) / (2.0 * t))
+    if not full:
+        return {"hess": hess}
+    grad = -p[..., None] * D / (2.0 * t)
     lap_geo = p * (rho2 / (4.0 * t * t) - d / (2.0 * t))
-    Df = np.einsum("nda,na->nd", frames, D)
-    eye = np.eye(d)
-    hess = p[:, None, None] * (Df[:, :, None] * Df[:, None, :] / (4.0 * t * t)
-                               - eye[None, :, :] / (2.0 * t))
     return {"p": p, "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo, "hess": hess}
 
 
 def _torus_images(t: float, d: int) -> np.ndarray:
-    # images within |2 pi k| <= sqrt(4 t ln 1e16) + pi sqrt(d)
+    """Per-axis image shifts 2 pi k of the wrapped Gaussian.
+
+    The d-dimensional image set is the cube of these shifts, which holds
+    every image within |2 pi k| <= sqrt(4 t ln 1e16) + pi sqrt(d).
+    """
     reach = math.sqrt(4.0 * t * 37.0) + math.pi * math.sqrt(d)
     kmax = max(1, int(math.ceil(reach / (2.0 * math.pi))))
-    ax = np.arange(-kmax, kmax + 1)
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) * 2.0 * math.pi
+    return np.arange(-kmax, kmax + 1) * 2.0 * math.pi
 
 
-def _torus_fields(m: Torus, X, y, t, frames):
-    d = m.dim
-    shifts = _torus_images(t, d)
-    base = m.wrap(X - y[None, :])
-    p = np.zeros(X.shape[0])
-    grad = np.zeros_like(X)
-    lap_geo = np.zeros(X.shape[0])
-    hess_amb = np.zeros((X.shape[0], d, d))
-    eye = np.eye(d)
-    c0 = (4.0 * math.pi * t) ** (-d / 2)
+def _theta(D, t, shifts):
+    """1-d wrapped Gaussian theta(D) and its first two D-derivatives."""
+    c = (4.0 * math.pi * t) ** -0.5
+    th = np.zeros_like(D)
+    th1 = np.zeros_like(D)
+    th2 = np.zeros_like(D)
     for s in shifts:
-        D = base + s[None, :]
-        rho2 = np.sum(D * D, axis=1)
-        pk = c0 * np.exp(-rho2 / (4.0 * t))
-        p += pk
-        grad += -pk[:, None] * D / (2.0 * t)
-        lap_geo += pk * (rho2 / (4.0 * t * t) - d / (2.0 * t))
-        hess_amb += pk[:, None, None] * (D[:, :, None] * D[:, None, :] / (4.0 * t * t)
-                                         - eye[None, :, :] / (2.0 * t))
-    hess = np.einsum("nia,nab,njb->nij", frames, hess_amb, frames)
-    return {"p": p, "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo, "hess": hess}
+        E = D + s
+        g = c * np.exp(-E * E / (4.0 * t))
+        th += g
+        th1 -= g * E / (2.0 * t)
+        th2 += g * (E * E / (4.0 * t * t) - 1.0 / (2.0 * t))
+    return th, th1, th2
+
+
+def _torus_fields(m: Torus, X, Y, t, full=True):
+    # the wrapped Gaussian is a product over axes of 1-d image sums theta, so
+    # every field is a product of per-axis theta, theta' or theta'' factors
+    d = m.dim
+    D = m.wrap(X - Y)
+    shifts = _torus_images(t, d)
+    derivs = list(zip(*(_theta(D[..., a], t, shifts) for a in range(d))))
+    e = np.eye(d, dtype=int)
+
+    def field(orders):
+        # product over axes a of the orders[a]-th derivative of theta(D_a)
+        return math.prod(derivs[k][a] for a, k in enumerate(orders))
+
+    hess = np.stack([np.stack([field(e[a] + e[b]) for b in range(d)], axis=-1)
+                     for a in range(d)], axis=-2)
+    if not full:
+        return {"hess": hess}
+    grad = np.stack([field(e[a]) for a in range(d)], axis=-1)
+    lap_geo = np.einsum("...ii->...", hess)
+    return {"p": field([0] * d), "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo,
+            "hess": hess}
 
 
 def _legendre_triples(c: np.ndarray, coeffs: np.ndarray):
@@ -189,27 +221,29 @@ def _sphere_coeffs(m: Sphere, t: float, extra_rate: float = 0.0):
     return np.array(coeffs), np.array(rates)
 
 
-def _sphere_fields(m: Sphere, X, y, t, frames):
+def _sphere_fields(m: Sphere, X, Y, t, full=True):
     if m.dim != 2:
         raise OracleError("sphere kernel oracle implemented for d = 2 only")
     a = m.radius
     a2 = a * a
     coeffs, rates = _sphere_coeffs(m, t)
-    u = X @ y  # ambient pairing, u = a^2 cos(rho / a)
+    u = np.sum(X * Y, axis=-1)  # ambient pairing, u = a^2 cos(rho / a)
     cgrid = np.clip(u / a2, -1.0, 1.0)
     p, dpdc, d2pdc2, absum = _legendre_triples(cgrid, coeffs)
-    pt = -_legendre_triples(cgrid, coeffs * rates)[0]
     # near the antipode at small t the alternating sum cancels below float
     # precision; values there are correct to ~1e-16 * absum absolutely but
     # carry no relative accuracy, so flag them instead of failing the batch
     reliable = np.abs(p) >= 1e-12 * absum
     p_u = dpdc / a2
     p_uu = d2pdc2 / a2 ** 2
-    grad = p_u[:, None] * (y[None, :] - (u / a2)[:, None] * X)
-    du = np.einsum("nda,a->nd", frames, y)
-    eye = np.eye(2)
-    hess = (p_uu[:, None, None] * du[:, :, None] * du[:, None, :]
-            - (p_u * u / a2)[:, None, None] * eye[None, :, :])
+    # ambient form p_uu y y^T - (p_u u / a^2) I; contracting it with an
+    # orthonormal tangent frame F gives the frame Hessian since F F^T = I
+    hess = (p_uu[..., None, None] * Y[..., :, None] * Y[..., None, :]
+            - (p_u * u / a2)[..., None, None] * np.eye(3))
+    if not full:
+        return {"hess": hess, "reliable": reliable}
+    pt = -_legendre_triples(cgrid, coeffs * rates)[0]
+    grad = p_u[..., None] * (Y - (u / a2)[..., None] * X)
     lap_geo = p_uu * (a2 - u ** 2 / a2) - p_u * u / a2 * m.dim
     return {"p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo, "hess": hess,
             "reliable": reliable}
@@ -352,6 +386,25 @@ def _h2_fields(m: Hyperbolic, X, y, t, frames):
     return _radial_assemble(m, X, y, rho, p, dp, d2p, pt, frames)
 
 
+_AMBIENT_CORES = ((Euclidean, _euclidean_fields), (Torus, _torus_fields),
+                  (Sphere, _sphere_fields))
+
+# at most this many (x, y) pairs per block of the source-batched quadrature;
+# the per-pair temporaries of one block then stay within a few MB
+_PAIR_BLOCK = 1 << 15
+
+
+def _ambient_core(m: ManifoldModel):
+    for cls, core in _AMBIENT_CORES:
+        if isinstance(m, cls):
+            return core
+    return None
+
+
+def _frame_contract(frames: np.ndarray, hess_amb: np.ndarray) -> np.ndarray:
+    return np.einsum("nia,nab,njb->nij", frames, hess_amb, frames)
+
+
 def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,
                    frames: Optional[np.ndarray] = None) -> dict:
     """Kernel fields p, dp_dt, grad, lap, hess for a batch of x at fixed y."""
@@ -361,18 +414,59 @@ def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,
     y = np.asarray(y, dtype=float)
     if frames is None:
         frames = m.frame(X)
-    if isinstance(m, Euclidean):
-        return _euclidean_fields(m, X, y, t, frames)
-    if isinstance(m, Torus):
-        return _torus_fields(m, X, y, t, frames)
-    if isinstance(m, Sphere):
-        return _sphere_fields(m, X, y, t, frames)
+    core = _ambient_core(m)
+    if core is not None:
+        out = core(m, X, y[None, :], t)
+        out["hess"] = _frame_contract(frames, out["hess"])
+        return out
     if isinstance(m, Hyperbolic):
         if m.dim == 3:
             return _h3_fields(m, X, y, t, frames)
         if m.dim == 2:
             return _h2_fields(m, X, y, t, frames)
     raise OracleError(f"no kernel oracle for {m.describe()}")
+
+
+def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
+                           coef: np.ndarray, t: float,
+                           frames: Optional[np.ndarray] = None):
+    """Frame components of sum_j coef_j Hess_x p_t(x, Y_j) at every target x.
+
+    Returns ``(hess, reliable)``: ``hess`` has shape (nX, d, d) and
+    ``reliable[i]`` is false when a pair (X_i, Y_j) with nonzero ``coef_j``
+    lost relative accuracy to spectral cancellation (sphere, small t).
+    Sources with ``coef_j == 0`` are skipped.  Pairs are evaluated in
+    blocks of at most ``_PAIR_BLOCK``; each block's ambient Hessians are
+    summed over its sources by one matmul, and the frames are contracted
+    once per target at the end.  Euclidean, torus and sphere models only.
+    """
+    if not (t > 0):
+        raise ValueError("t must be positive")
+    core = _ambient_core(m)
+    if core is None:
+        raise OracleError(f"no batched kernel quadrature for {m.describe()}")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    coef = np.asarray(coef, dtype=float)
+    if frames is None:
+        frames = m.frame(X)
+    keep = coef != 0.0
+    Y, coef = Y[keep], coef[keep]
+    n, amb = X.shape
+    acc = np.zeros((n, amb * amb))
+    reliable = np.ones(n, dtype=bool)
+    nx = max(1, min(n, _PAIR_BLOCK))
+    for i0 in range(0, n, nx):
+        Xb = X[i0:i0 + nx, None, :]
+        ny = max(1, _PAIR_BLOCK // len(Xb))
+        for j0 in range(0, len(Y), ny):
+            out = core(m, Xb, Y[None, j0:j0 + ny, :], t, full=False)
+            hb = out["hess"]
+            acc[i0:i0 + nx] += np.matmul(coef[j0:j0 + ny],
+                                         hb.reshape(hb.shape[:2] + (amb * amb,)))
+            if "reliable" in out:
+                reliable[i0:i0 + nx] &= np.all(out["reliable"], axis=1)
+    return _frame_contract(frames, acc.reshape(n, amb, amb)), reliable
 
 
 def heat_kernel(m: ManifoldModel, x: Point, y: Point, t: float) -> KernelEval:
