@@ -173,6 +173,32 @@ def _column_sq(V: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _gram_schmidt_frames(cand: np.ndarray, d: int, sign: np.ndarray) -> np.ndarray:
+    """Orthonormal frames from candidate vectors, batched over points.
+
+    ``cand`` (n, k, ambient) holds each point's candidates in the order they
+    are tried and ``sign`` the diagonal of the ambient form.  Each candidate
+    is reduced against the vectors already kept (modified Gram-Schmidt) and
+    kept, normalized, when its squared norm exceeds 1e-16 (norm above 1e-8),
+    until d are kept.  Returns (n, d, ambient).
+    """
+    n = cand.shape[0]
+    out = np.zeros((n, d, cand.shape[2]))
+    kept = np.zeros(n, dtype=int)
+    for j in range(cand.shape[1]):
+        if np.all(kept == d):
+            break
+        v = cand[:, j].copy()
+        # slots no point has filled yet are zero and would subtract nothing
+        for b in range(kept.max()):
+            v -= np.sum(v * sign * out[:, b], axis=1)[:, None] * out[:, b]
+        nv2 = np.sum(sign * v * v, axis=1)
+        take = np.flatnonzero((nv2 > 1e-16) & (kept < d))
+        out[take, kept[take]] = v[take] / np.sqrt(nv2[take])[:, None]
+        kept[take] += 1
+    return out
+
+
 def _rank_one_move(P, F, dB, V, s, c, b, g):
     """Exact geodesic move of P along V = s u, and the transported frames.
 
@@ -490,27 +516,13 @@ class Sphere(ManifoldModel):
         return a * np.arccos(c)
 
     def frame(self, X):
-        n, amb = X.shape
-        d = self.dim
+        # project the ambient axes, try them by decreasing projected norm
+        # (stable on ties), Gram-Schmidt the first d that stay independent
         normal = X / self.radius
-        # project ambient axes, keep the d best-conditioned, Gram-Schmidt
-        out = np.empty((n, d, amb))
-        for i in range(n):
-            cand = np.eye(amb) - np.outer(normal[i], normal[i])
-            norms = np.linalg.norm(cand, axis=1)
-            order = np.argsort(-norms, kind="stable")
-            basis = []
-            for j in order:
-                v = cand[j].copy()
-                for b in basis:
-                    v -= np.dot(v, b) * b
-                nv = np.linalg.norm(v)
-                if nv > 1e-8:
-                    basis.append(v / nv)
-                if len(basis) == d:
-                    break
-            out[i] = np.array(basis)
-        return out
+        cand = np.eye(X.shape[1]) - normal[:, :, None] * normal[:, None, :]
+        order = np.argsort(-np.linalg.norm(cand, axis=2), axis=1, kind="stable")
+        cand = np.take_along_axis(cand, order[:, :, None], axis=1)
+        return _gram_schmidt_frames(cand, self.dim, np.ones(X.shape[1]))
 
     def ball_volume(self, r):
         a = self.radius
@@ -621,25 +633,11 @@ class Hyperbolic(ManifoldModel):
         return np.arccosh(c) / a
 
     def frame(self, X):
-        n, amb = X.shape
-        d = self.dim
-        out = np.empty((n, d, amb))
-        a2 = self.scale ** 2
-        for i in range(n):
-            basis = []
-            for j in range(amb):
-                v = np.zeros(amb)
-                v[j] = 1.0
-                v = v + a2 * self.mdot(X[i], v) * X[i]
-                for b in basis:
-                    v = v - self.mdot(v, b) * b
-                nv2 = self.mdot(v, v)
-                if nv2 > 1e-16:
-                    basis.append(v / math.sqrt(nv2))
-                if len(basis) == d:
-                    break
-            out[i] = np.array(basis)
-        return out
+        # ambient axes projected to the tangent space, in axis order,
+        # Minkowski Gram-Schmidt of the first d that stay independent
+        sign = self.metric_sign()
+        cand = np.eye(X.shape[1]) + (self.scale ** 2 * (sign * X))[:, :, None] * X[:, None, :]
+        return _gram_schmidt_frames(cand, self.dim, sign)
 
     def ball_volume(self, r):
         a = self.scale

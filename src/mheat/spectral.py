@@ -5,7 +5,11 @@ Hermitian coefficients; all derivatives and resolvents act mode by mode.
 Sphere fields are combinations of spherical harmonics realized as harmonic
 homogeneous polynomials in ambient coordinates, so tangential gradients and
 Hessians come from exact polynomial differentiation plus the second
-fundamental form, with no special-function code.
+fundamental form, with no special-function code.  Evaluation is blocked by
+degree: each level's harmonics are a coefficient block over that degree's
+monomials, the ambient partial derivatives are small integer matrices
+lowering the degree by one, and node values are products of those blocks
+with one node-monomial matrix per degree.
 
 Laplacians carry the positive-operator sign everywhere (eigenvalue ``|k|^2``
 on the torus, ``l (l + 1)`` on the unit sphere).
@@ -202,21 +206,20 @@ class Poly3:
         c = (self.coeffs[:, None] * other.coeffs[None, :]).ravel()
         return Poly3(e, c).compact()
 
-    def degrees(self) -> np.ndarray:
-        return np.sum(self.exps, axis=1)
-
-    def homogeneous_parts(self) -> Dict[int, "Poly3"]:
-        degs = self.degrees()
-        return {int(d): Poly3(self.exps[degs == d], self.coeffs[degs == d])
-                for d in np.unique(degs)}
-
 
 def _monomials(degree: int) -> np.ndarray:
+    """Exponent rows (i, j, degree - i - j) in order; none below degree 0."""
     out = []
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
             out.append((i, j, degree - i - j))
-    return np.asarray(out, dtype=int)
+    return np.asarray(out, dtype=int).reshape(-1, 3)
+
+
+def _monomial_index(exps: np.ndarray, degree: int) -> np.ndarray:
+    """Row of each degree-``degree`` exponent triple in ``_monomials(degree)``."""
+    i, j = exps[:, 0], exps[:, 1]
+    return i * (degree + 1) - i * (i - 1) // 2 + j
 
 
 _BASIS_CACHE: Dict[int, List[Poly3]] = {}
@@ -267,35 +270,89 @@ def harmonic_basis(ell: int) -> List[Poly3]:
     return ortho
 
 
+def _basis_block(ell: int) -> np.ndarray:
+    """``harmonic_basis(ell)`` as columns over ``_monomials(ell)``: B_ell."""
+    basis = harmonic_basis(ell)
+    B = np.zeros((len(_monomials(ell)), len(basis)))
+    for col, p in enumerate(basis):
+        B[_monomial_index(p.exps, ell), col] = p.coeffs
+    return B
+
+
+def _diff_matrix(degree: int, axis: int) -> np.ndarray:
+    """D_axis: d/dx_axis from degree-``degree`` to degree-``degree - 1`` coefficients."""
+    mono = _monomials(degree)
+    D = np.zeros((len(_monomials(degree - 1)), len(mono)))
+    cols = np.flatnonzero(mono[:, axis])
+    lower = mono[cols].copy()
+    lower[:, axis] -= 1
+    D[_monomial_index(lower, degree - 1), cols] = mono[cols, axis]
+    return D
+
+
+def _coordinate_powers(X: np.ndarray, degree: int) -> np.ndarray:
+    """Powers X[:, a] ** e for e <= degree by cumulative products, (3, n, degree + 1)."""
+    P = np.empty((3, X.shape[0], degree + 1))
+    P[:, :, 0] = 1.0
+    for e in range(1, degree + 1):
+        P[:, :, e] = P[:, :, e - 1] * X.T
+    return P
+
+
+def _monomial_matrix(powers: np.ndarray, degree: int) -> np.ndarray:
+    """M_degree: node values of ``_monomials(degree)``, (n, #monomials)."""
+    e = _monomials(degree)
+    return powers[0][:, e[:, 0]] * powers[1][:, e[:, 1]] * powers[2][:, e[:, 2]]
+
+
+def _harmonic_level(X, powers, ell, C, grads=False, frames=None):
+    """Node fields of the degree-ell harmonics with coefficient columns C.
+
+    ``C`` (#monomials of degree ell, k) holds k homogeneous harmonic
+    polynomials.  Returns their values (n, k), the ambient form of their
+    tangential gradients amb - ell f x (n, 3, k) when ``grads`` is set, and
+    the frame components of their Hessians F D^2 F^T - ell f I (n, d, d, k)
+    when ``frames`` (n, d, 3) are given; the unrequested ones are None.
+    """
+    n, k = X.shape[0], C.shape[1]
+    vals = _monomial_matrix(powers, ell) @ C
+    G = H = None
+    if grads or frames is not None:
+        D = [_diff_matrix(ell, a) for a in range(3)]
+    if grads:
+        amb = _monomial_matrix(powers, ell - 1) @ np.hstack([Da @ C for Da in D])
+        G = amb.reshape(n, 3, k) - ell * vals[:, None, :] * X[:, :, None]
+    if frames is not None:
+        D1 = [_diff_matrix(ell - 1, b) for b in range(3)]
+        D2 = _monomial_matrix(powers, ell - 2) @ np.hstack(
+            [D1[b] @ (Da @ C) for Da in D for b in range(3)])
+        d = frames.shape[1]
+        FF = frames[:, :, None, :, None] * frames[:, None, :, None, :]
+        H = np.matmul(FF.reshape(n, d * d, 9), D2.reshape(n, 9, k)).reshape(n, d, d, k)
+        H -= ell * vals[:, None, None, :] * np.eye(d)[None, :, :, None]
+    return vals, G, H
+
+
 @dataclass
 class SphericalPolynomial:
     """Band-limited function on the unit 2-sphere: sum over (l, m) harmonics."""
 
     terms: List[tuple]  # (ell, coeff vector of length 2 ell + 1)
 
-    def _blocks(self):
+    def _fields(self, X, grads=False, frames=None):
+        """Per level: ell and ``_harmonic_level`` of the one column B_ell @ cvec."""
+        powers = _coordinate_powers(X, max((ell for ell, _ in self.terms), default=0))
         for ell, cvec in self.terms:
-            basis = harmonic_basis(ell)
-            yield ell, cvec, basis
+            C = (_basis_block(ell) @ cvec)[:, None]
+            yield ell, _harmonic_level(X, powers, ell, C, grads, frames)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0])
-        for ell, cvec, basis in self._blocks():
-            for c, p in zip(cvec, basis):
-                if c != 0.0:
-                    out += c * p.values(X)
-        return out
+        return sum((f[:, 0] for _, (f, _, _) in self._fields(X)), np.zeros(len(X)))
 
     def grad_values(self, X: np.ndarray) -> np.ndarray:
         """Ambient representation of the tangential gradient at |x| = 1."""
-        out = np.zeros_like(X)
-        for ell, cvec, basis in self._blocks():
-            for c, p in zip(cvec, basis):
-                if c == 0.0:
-                    continue
-                amb = np.stack([p.diff(ax).values(X) for ax in range(3)], axis=1)
-                out += c * (amb - ell * p.values(X)[:, None] * X)
-        return out
+        return sum((G[..., 0] for _, (_, G, _) in self._fields(X, grads=True)),
+                   np.zeros(X.shape))
 
     def hess_values(self, X: np.ndarray, frames: np.ndarray) -> np.ndarray:
         """Frame components of the intrinsic Hessian.
@@ -303,36 +360,16 @@ class SphericalPolynomial:
         Hess f(u, v) = D^2 f(u, v) - ell f <u, v> per degree-ell harmonic
         (ambient second derivative plus the second fundamental form).
         """
-        n = X.shape[0]
-        out = np.zeros((n, 2, 2))
-        eye = np.eye(2)
-        for ell, cvec, basis in self._blocks():
-            for c, p in zip(cvec, basis):
-                if c == 0.0:
-                    continue
-                D2 = np.zeros((n, 3, 3))
-                for a in range(3):
-                    pa = p.diff(a)
-                    for b in range(a, 3):
-                        vals = pa.diff(b).values(X)
-                        D2[:, a, b] = vals
-                        D2[:, b, a] = vals
-                Hf = np.einsum("nia,nab,njb->nij", frames, D2, frames)
-                out += c * (Hf - ell * p.values(X)[:, None, None] * eye[None])
-        return out
+        return sum((H[..., 0] for _, (_, _, H) in self._fields(X, frames=frames)),
+                   np.zeros((len(X), 2, 2)))
 
     def hess_hs_values(self, X: np.ndarray, frames: np.ndarray) -> np.ndarray:
         H = self.hess_values(X, frames)
         return np.sqrt(np.sum(H * H, axis=(1, 2)))
 
     def lap_values(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0])
-        for ell, cvec, basis in self._blocks():
-            lam = ell * (ell + 1)
-            for c, p in zip(cvec, basis):
-                if c != 0.0:
-                    out += lam * c * p.values(X)
-        return out
+        return sum((ell * (ell + 1) * f[:, 0] for ell, (f, _, _) in self._fields(X)),
+                   np.zeros(len(X)))
 
     def apply_spectral(self, fn) -> "SphericalPolynomial":
         return SphericalPolynomial(
@@ -350,19 +387,6 @@ class SphericalPolynomial:
             lam = ell * (ell + 1)
             total += float(np.sum(np.abs(cvec) ** 2)) * lam ** (2 * power)
         return math.sqrt(total)
-
-    def gradient_poly3(self) -> List[Poly3]:
-        """The three ambient components of the tangential gradient as Poly3."""
-        x_polys = [Poly3(np.eye(3, dtype=int)[a][None, :], np.ones(1)) for a in range(3)]
-        comps = [Poly3.zero(), Poly3.zero(), Poly3.zero()]
-        for ell, cvec, basis in self._blocks():
-            for c, p in zip(cvec, basis):
-                if c == 0.0:
-                    continue
-                for a in range(3):
-                    comps[a] = comps[a] + p.diff(a) * c
-                    comps[a] = comps[a] + (x_polys[a] * p) * (-ell * c)
-        return [q.compact() for q in comps]
 
     def as_field(self, name: str = "sphere-poly") -> ScalarField:
         return ScalarField(name, self.values, self.grad_values,
@@ -383,26 +407,16 @@ def random_spherical_polynomials(m: Sphere, degree: int, count: int,
     return out
 
 
-def sphere_lap_of_restriction(q: Poly3, X: np.ndarray) -> np.ndarray:
-    """Positive Laplacian on S^2 of the restriction of an ambient polynomial.
-
-    Per homogeneous part of degree m:
-    Lap_geo (q_m|) = (Lap_amb q_m)| - m (m + 1) q_m| ; returned with the
-    positive sign convention.
-    """
-    out = np.zeros(X.shape[0])
-    for mdeg, part in q.homogeneous_parts().items():
-        geo = part.lap_ambient().values(X) - mdeg * (mdeg + 1) * part.values(X)
-        out -= geo
-    return out
-
-
 class SphereHarmonicTables:
     """Cached node evaluations of the harmonic basis on a quadrature grid.
 
     Values, tangential gradients and frame Hessian components are stacked
     over the flattened (l, index-in-level) harmonic order so that band
     limited fields are plain matrix products with their coefficient blocks.
+    Each level's columns are filled at once: the node-monomial matrices of
+    degrees ell, ell - 1 and ell - 2 times the basis block B_ell and its
+    images under the integer derivative matrices, then one frame
+    contraction per level.
     """
 
     def __init__(self, grid, m: Sphere, lmax: int, with_derivs: bool = True):
@@ -410,45 +424,30 @@ class SphereHarmonicTables:
         self.lmax = lmax
         X = grid.nodes
         n = X.shape[0]
-        blocks = []
-        self.offsets = {}
-        self.eigen = []
-        pos = 0
-        for ell in range(0, lmax + 1):
-            basis = harmonic_basis(ell)
-            self.offsets[ell] = pos
-            pos += len(basis)
-            blocks.append((ell, basis))
-            self.eigen.extend([ell * (ell + 1)] * len(basis))
-        self.size = pos
-        self.eigen = np.asarray(self.eigen, dtype=float)
-        self.values = np.empty((n, pos))
+        levels = range(lmax + 1)
+        # level ell holds 2 ell + 1 harmonics, from column ell^2
+        self.offsets = {ell: ell * ell for ell in levels}
+        self.size = (lmax + 1) ** 2
+        self.eigen = np.repeat([float(ell * (ell + 1)) for ell in levels],
+                               [2 * ell + 1 for ell in levels])
+        self.values = np.empty((n, self.size))
         if with_derivs:
             frames = grid.frames(m)
-            self.grads = np.empty((n, 3, pos))
-            self.hesses = np.empty((n, 2, 2, pos))
+            self.grads = np.empty((n, 3, self.size))
+            self.hesses = np.empty((n, 2, 2, self.size))
         else:
+            frames = None
             self.grads = None
             self.hesses = None
-        eye = np.eye(2)
-        for ell, basis in blocks:
-            for j, pbasis in enumerate(basis):
-                col = self.offsets[ell] + j
-                vals = pbasis.values(X)
-                self.values[:, col] = vals
-                if not with_derivs:
-                    continue
-                amb = np.stack([pbasis.diff(a).values(X) for a in range(3)], axis=1)
-                self.grads[:, :, col] = amb - ell * vals[:, None] * X
-                D2 = np.zeros((n, 3, 3))
-                for a in range(3):
-                    pa = pbasis.diff(a)
-                    for b in range(a, 3):
-                        vv = pa.diff(b).values(X)
-                        D2[:, a, b] = vv
-                        D2[:, b, a] = vv
-                Hf = np.einsum("nia,nab,njb->nij", frames, D2, frames)
-                self.hesses[:, :, :, col] = Hf - ell * vals[:, None, None] * eye[None]
+        powers = _coordinate_powers(X, lmax)
+        for ell in levels:
+            cols = slice(ell * ell, (ell + 1) ** 2)
+            vals, G, H = _harmonic_level(X, powers, ell, _basis_block(ell),
+                                         with_derivs, frames)
+            self.values[:, cols] = vals
+            if with_derivs:
+                self.grads[:, :, cols] = G
+                self.hesses[:, :, :, cols] = H
 
     def coeff_matrix(self, family) -> np.ndarray:
         C = np.zeros((self.size, len(family)))

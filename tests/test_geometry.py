@@ -27,6 +27,7 @@ from mheat.geometry import (
     sin_coordinate_field,
     square_coordinate_field,
 )
+from mheat.oracle import quadrature_grid
 
 MODELS = [
     Euclidean(2),
@@ -319,3 +320,88 @@ def test_compact_bump_support():
     assert vals[1] > 0
     assert vals[2] == 0.0
     assert vals[3] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched tangent frames against the per-point loops they replace
+
+def _sphere_frame_loop(m, X):
+    n, amb = X.shape
+    normal = X / m.radius
+    out = np.empty((n, m.dim, amb))
+    axes = []
+    for i in range(n):
+        cand = np.eye(amb) - np.outer(normal[i], normal[i])
+        order = np.argsort(-np.linalg.norm(cand, axis=1), kind="stable")
+        basis, chosen = [], []
+        for j in order:
+            v = cand[j].copy()
+            for b in basis:
+                v -= np.dot(v, b) * b
+            nv = np.linalg.norm(v)
+            if nv > 1e-8:
+                basis.append(v / nv)
+                chosen.append(j)
+            if len(basis) == m.dim:
+                break
+        out[i] = np.array(basis)
+        axes.append(chosen)
+    return out, axes
+
+
+def _hyperbolic_frame_loop(m, X):
+    n, amb = X.shape
+    out = np.empty((n, m.dim, amb))
+    axes = []
+    for i in range(n):
+        basis, chosen = [], []
+        for j in range(amb):
+            v = np.zeros(amb)
+            v[j] = 1.0
+            v = v + m.scale ** 2 * m.mdot(X[i], v) * X[i]
+            for b in basis:
+                v = v - m.mdot(v, b) * b
+            nv2 = m.mdot(v, v)
+            if nv2 > 1e-16:
+                basis.append(v / math.sqrt(nv2))
+                chosen.append(j)
+            if len(basis) == m.dim:
+                break
+        out[i] = np.array(basis)
+        axes.append(chosen)
+    return out, axes
+
+
+def _frame_test_points(m):
+    amb = m.ambient_dim
+    pts = [m.random_points(rng(), 200, spread=1.5)]
+    if isinstance(m, Sphere):
+        if m.dim == 2:
+            pts.append(quadrature_grid(m, 12).nodes)
+        eye = np.eye(amb)
+        # poles and axis-aligned points, and points where projected norms tie
+        pts += [m.radius * eye, -m.radius * eye,
+                m.retract(eye[0] + eye[1])[None], m.retract(np.ones(amb))[None],
+                m.retract(eye[0] - eye[-1])[None]]
+    else:
+        base = np.broadcast_to(m.base_point(), (2 * m.dim, amb))
+        U = np.zeros((2 * m.dim, amb))
+        U[np.arange(m.dim), np.arange(m.dim)] = 0.8
+        U[m.dim + np.arange(m.dim), np.arange(m.dim)] = -2.0
+        pts += [m.base_point()[None], m.exp(base, U)]
+    return np.concatenate(pts, axis=0)
+
+
+@pytest.mark.parametrize("m", [Sphere(2, 1.0), Sphere(2, 2.0), Sphere(3, 0.7),
+                               Hyperbolic(2, 1.0), Hyperbolic(3, 0.6)],
+                         ids=lambda m: f"{m.describe()}-{getattr(m, 'radius', getattr(m, 'scale', None))}")
+def test_batched_frames_match_point_loop(m):
+    X = _frame_test_points(m)
+    loop = _sphere_frame_loop if isinstance(m, Sphere) else _hyperbolic_frame_loop
+    ref, axes = loop(m, X)
+    F = m.frame(X)
+    assert F.shape == ref.shape
+    assert np.max(np.abs(F - ref)) < 1e-15
+    # a different pick of axes, or another order among tied norms, would
+    # move a frame vector by far more than the bound
+    assert all(len(a) == m.dim for a in axes)
