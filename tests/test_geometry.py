@@ -329,11 +329,10 @@ def _sphere_frame_loop(m, X):
     n, amb = X.shape
     normal = X / m.radius
     out = np.empty((n, m.dim, amb))
-    axes = []
     for i in range(n):
         cand = np.eye(amb) - np.outer(normal[i], normal[i])
         order = np.argsort(-np.linalg.norm(cand, axis=1), kind="stable")
-        basis, chosen = [], []
+        basis = []
         for j in order:
             v = cand[j].copy()
             for b in basis:
@@ -341,20 +340,17 @@ def _sphere_frame_loop(m, X):
             nv = np.linalg.norm(v)
             if nv > 1e-8:
                 basis.append(v / nv)
-                chosen.append(j)
             if len(basis) == m.dim:
                 break
         out[i] = np.array(basis)
-        axes.append(chosen)
-    return out, axes
+    return out
 
 
 def _hyperbolic_frame_loop(m, X):
     n, amb = X.shape
     out = np.empty((n, m.dim, amb))
-    axes = []
     for i in range(n):
-        basis, chosen = [], []
+        basis = []
         for j in range(amb):
             v = np.zeros(amb)
             v[j] = 1.0
@@ -364,12 +360,10 @@ def _hyperbolic_frame_loop(m, X):
             nv2 = m.mdot(v, v)
             if nv2 > 1e-16:
                 basis.append(v / math.sqrt(nv2))
-                chosen.append(j)
             if len(basis) == m.dim:
                 break
         out[i] = np.array(basis)
-        axes.append(chosen)
-    return out, axes
+    return out
 
 
 def _frame_test_points(m):
@@ -398,10 +392,10 @@ def _frame_test_points(m):
 def test_batched_frames_match_point_loop(m):
     X = _frame_test_points(m)
     loop = _sphere_frame_loop if isinstance(m, Sphere) else _hyperbolic_frame_loop
-    ref, axes = loop(m, X)
+    ref = loop(m, X)
     F = m.frame(X)
     assert F.shape == ref.shape
-    assert np.max(np.abs(F - ref)) < 1e-15
     # a different pick of axes, or another order among tied norms, would
-    # move a frame vector by far more than the bound
-    assert all(len(a) == m.dim for a in axes)
+    # move a frame vector by far more than the bound, so agreement within it
+    # means the same candidates were kept
+    assert np.max(np.abs(F - ref)) < 1e-15
