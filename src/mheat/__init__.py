@@ -39,7 +39,6 @@ from .semigroup import (
 )
 from .transport import (
     PathRecord,
-    TransportState,
     damped_transport,
     sample_path,
     w_process,
@@ -65,8 +64,7 @@ __all__ = [
     "KernelEval", "QuadratureGrid", "heat_kernel", "lp_norm", "quadrature_grid",
     "HessianEstimatorConfig", "McEstimate", "estimate_grad",
     "estimate_green_hess", "estimate_hess", "estimate_pt",
-    "PathRecord", "TransportState", "damped_transport", "sample_path",
-    "w_process",
+    "PathRecord", "damped_transport", "sample_path", "w_process",
     "BoundCheckConfig", "BoundReport", "KatoResult", "check_gaffney",
     "check_kernel_bounds", "check_semigroup_bounds", "check_weighted_l2",
     "cz_scan", "kato_functional",

@@ -522,14 +522,15 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
         t_list = p.get("t_list", [0.25, 0.5, 1.0])
         reports = check_semigroup_bounds(
             m, f, bc, n_paths=cfg.n_paths, seed=cfg.seed,
-            t_list=[float(t) for t in t_list])
+            t_list=[float(t) for t in t_list], threads=cfg.threads)
     elif check == "kato":
         name = p.get("potential", "const")
         pot = make_potential(m, name, p.get("potential_params"))
         t_list = [float(t) for t in p.get("t_list",
                                           [0.1 * k for k in range(1, 11)])]
         res = kato_functional(m, pot, t_list, [_point_from(m, p.get("point"))],
-                              n_paths=cfg.n_paths, seed=cfg.seed)
+                              n_paths=cfg.n_paths, seed=cfg.seed,
+                              threads=cfg.threads)
         cols = ["t", "functional", "functional_se", "expmom", "expmom_se",
                 "dropped", "provenance"]
         tables["kato"] = {
@@ -700,7 +701,9 @@ def main(argv: Optional[list] = None) -> int:
     p_run = sub.add_parser("run", help="execute a TOML experiment config")
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: MHEAT_THREADS or serial)")
+                       help="worker cap for the Monte Carlo estimators and checks; "
+                            "results do not depend on it "
+                            "(default: MHEAT_THREADS or serial)")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
     p_list = sub.add_parser("list", help="print a builtin registry")

@@ -20,9 +20,11 @@ Two independent Hessian representations are implemented:
       Hess P_t f(v, w) = E[ Hess f(Q_t v, Q_t w)(X_t) + df(W_t(v, w))(X_t) ]
 
 Stochastic integrals are left-point Riemann-Ito sums on the walk grid.
-Estimators distribute paths over fixed-size chunks and fold the one-pass
-moment accumulators in chunk order, so results are bitwise reproducible for
-a given (seed, n_paths, chunk_size) regardless of threading.
+Paths are split into fixed-size chunks by one ordered chunk map, which runs
+them on ``threads`` workers and returns their results in chunk order; the
+estimators here and verify's Monte Carlo checks fold those results in that
+order, so they are bitwise reproducible for a given (seed, n_paths,
+chunk_size) regardless of threading.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ManifoldModel, Point, ScalarField, TangentVector
-from .transport import ChunkWalk, _check_grid, frame_components, q_decay_factor
+from .transport import ChunkWalk, _check_grid, frame_components, q_decay_factor, w_step
 
 __all__ = [
     "McEstimate",
@@ -195,29 +197,28 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return max(1, int(threads))
 
 
-def _chunked_mc(worker, n_units: int, chunk_size: int, threads: Optional[int]) -> RunningMoments:
-    """Run worker(lo, hi) over unit ranges; fold moments in chunk order."""
+def _chunk_map(worker, n_units: int, chunk_size: int, threads: Optional[int]):
+    """Yield worker(lo, hi) over consecutive unit ranges, in chunk order.
+
+    Chunks run on a thread pool when there are several threads and several
+    chunks; the results come back in chunk order either way.
+    """
     chunks = [(lo, min(lo + chunk_size, n_units))
               for lo in range(0, n_units, chunk_size)]
     nthreads = _resolve_threads(threads)
-    acc = RunningMoments()
     if nthreads <= 1 or len(chunks) == 1:
         for lo, hi in chunks:
-            acc.update_batch(worker(lo, hi))
-        return acc
-    stats = [None] * len(chunks)
-
-    def job(i):
-        lo, hi = chunks[i]
-        r = RunningMoments()
-        r.update_batch(worker(lo, hi))
-        return i, r
-
+            yield worker(lo, hi)
+        return
     with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        for i, r in ex.map(job, range(len(chunks))):
-            stats[i] = r
-    for r in stats:
-        acc.merge(r)
+        yield from ex.map(lambda c: worker(*c), chunks)
+
+
+def _chunked_mc(worker, n_units: int, chunk_size: int, threads: Optional[int]) -> RunningMoments:
+    """Fold the moments of worker(lo, hi) samples over the chunks in order."""
+    acc = RunningMoments()
+    for values in _chunk_map(worker, n_units, chunk_size, threads):
+        acc.update_batch(values)
     return acc
 
 
@@ -314,21 +315,6 @@ def estimate_grad(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, "grad")
 
 
-def _w_chunk_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
-                    qv: np.ndarray, qw: np.ndarray, damp: float) -> np.ndarray:
-    """One step of the W recursion for a chunk, frame components (d, n).
-
-    ``W`` and ``dB`` are (d, n); ``qv``, ``qw`` are the (d,) damped-transport
-    images of v and w.  On constant curvature R(dB, qv) qw reduces to
-    kappa (<qv, qw> dB - <dB, qw> qv).
-    """
-    kappa = m.sectional_curvature
-    if kappa == 0.0:
-        return damp * W
-    incr = kappa * (float(np.dot(qv, qw)) * dB - qv[:, None] * (qw @ dB)[None, :])
-    return damp * W + incr
-
-
 def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                   w: TangentVector, t: float,
                   cfg: Optional[HessianEstimatorConfig] = None,
@@ -373,12 +359,12 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                     Iv += kd[k] * qk * (vbar @ dB)
                 if ld[k] != 0.0:
                     Iw += ld[k] * qk * (wbar @ dB)
-                W = _w_chunk_update(m, W, dB, qk * vbar, qk * wbar, damp)
+                W = w_step(m, W, dB, qk * vbar, qk * wbar, damp)
             fv = f.eval_fn(walk.points)
             vals = -0.5 * fv * IW + 0.25 * fv * Iw * Iv
         else:
             for k, dB in walk.steps():
-                W = _w_chunk_update(m, W, dB.T, qvals[k] * vbar, qvals[k] * wbar, damp)
+                W = w_step(m, W, dB.T, qvals[k] * vbar, qvals[k] * wbar, damp)
             qT = float(q_decay_factor(m, t))
             H = f.hess_fn(walk.points, walk.frames)
             term1 = qT * qT * np.einsum("nij,i,j->n", H, vbar, wbar)

@@ -17,6 +17,12 @@ the frame transport share one evaluation of the trigonometric functions,
 and the transport is a single rank-one update because the frame components
 of the unit step direction are ``dB / |V|`` (the frame is orthonormal).
 
+The curvature process W_t(v, w) has one recursion, :func:`w_step`, which
+advances a chunk of paths and optionally a batch of (v, w) pairs at once.
+The Hessian estimators, verify's domination check and the single-path
+:func:`w_process` all call it; only the curvature-package oracles
+(``*_generic``) compute W another way.
+
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
 sits at a fixed offset in a Philox stream keyed by the 64-bit seed, so any
 chunk of paths can be generated independently of scheduling and results are
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,12 +49,12 @@ from .geometry import (
 
 __all__ = [
     "PathRecord",
-    "TransportState",
     "sample_path",
     "damped_transport",
     "damped_transport_generic",
     "w_process",
     "w_process_generic",
+    "w_step",
     "ChunkWalk",
     "increment_block",
     "q_decay_factor",
@@ -116,19 +121,6 @@ class PathRecord:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
-
-
-@dataclass
-class TransportState:
-    """Damped transport matrix and curvature process values at one time.
-
-    ``q`` is Q_t in transported-frame components; ``w`` maps requested frame
-    index pairs (i, j) to the frame components of W_t(e_i, e_j) (only the
-    requested pairs are materialized).
-    """
-
-    q: np.ndarray
-    w: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +297,25 @@ def _w_step_terms(riemann: np.ndarray, drift3: np.ndarray, dB: np.ndarray,
     return incr
 
 
+def w_step(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
+           qv: np.ndarray, qw: np.ndarray, damp: float) -> np.ndarray:
+    """One step of the W recursion for a chunk of paths, frame components.
+
+    ``W`` is (..., d, n) and ``dB`` (d, n); ``qv``, ``qw`` are the (..., d)
+    damped-transport images of v and w, with one optional leading index per
+    (v, w) pair.  On constant curvature R(dB, qv) qw reduces to
+    kappa (<qv, qw> dB - <dB, qw> qv), and the Ricci damping is the scalar
+    ``damp``.
+    """
+    kappa = m.sectional_curvature
+    if kappa == 0.0:
+        return damp * W
+    # <qv, qw>; a stack of pairs takes it as (..., 1, 1) to broadcast over dB
+    qvw = np.dot(qv, qw) if qv.ndim == 1 else qv[..., None, :] @ qw[..., :, None]
+    incr = kappa * (qvw * dB - qv[..., :, None] * (qw @ dB)[..., None, :])
+    return damp * W + incr
+
+
 def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
               v: TangentVector, w: TangentVector) -> np.ndarray:
     """W_t(v, w) along the path, components in the transported frame.
@@ -315,26 +326,22 @@ def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
         W_{k+1} = e^{-h Ric#} W_k + R(dB_k, Q_k v) Q_k w
                   - h (d*R + grad Ric#)(Q_k v, Q_k w)
 
-    The drift term vanishes identically on constant-curvature models.
+    The drift term vanishes identically on constant-curvature models.  Each
+    step is :func:`w_step` on a one-path chunk.
     """
     d = m.dim
     n = path.n_steps
     h = path.step
-    kappa = m.sectional_curvature
     F0 = path.frames[0]
     sgn = m.metric_sign()
     vbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(v.comps))
     wbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(w.comps))
-    damp = math.exp(-h * (d - 1) * kappa)
+    damp = math.exp(-h * (d - 1) * m.sectional_curvature)
     out = np.zeros((n + 1, d))
-    W = np.zeros(d)
+    W = np.zeros((d, 1))
     for k in range(n):
-        qv = q[k] @ vbar
-        qw = q[k] @ wbar
-        dB = path.increments[k]
-        incr = kappa * (np.dot(qv, qw) * dB - np.dot(dB, qw) * qv)
-        W = damp * W + incr
-        out[k + 1] = W
+        W = w_step(m, W, path.increments[k][:, None], q[k] @ vbar, q[k] @ wbar, damp)
+        out[k + 1] = W[:, 0]
     return out
 
 
@@ -368,19 +375,3 @@ def frame_components(m: ManifoldModel, frames: np.ndarray,
     """Components of ambient tangent vectors in given frames, batched."""
     sgn = m.metric_sign()
     return np.einsum("nda,na->nd", frames * sgn[None, None, :], ambient_vecs)
-
-
-def final_transport_state(m: ManifoldModel, path: PathRecord,
-                          pairs: Optional[list] = None) -> TransportState:
-    """Transport state at the path endpoint; W only for requested pairs."""
-    q = damped_transport(m, path)
-    w = None
-    if pairs:
-        d = m.dim
-        F0 = path.frames[0]
-        w = {}
-        for (i, j) in pairs:
-            vi = TangentVector(Point(path.points[0]), F0[i])
-            vj = TangentVector(Point(path.points[0]), F0[j])
-            w[(i, j)] = w_process(m, path, q, vi, vj)[-1]
-    return TransportState(q=q[-1], w=w)

@@ -11,6 +11,12 @@ Exponential growth rates entering the right-hand sides (the Kato rate theta
 and the auxiliary kernel rate) are taken from the exponential-moment fit of
 the curvature potential; on the model spaces |R|^2 is constant, so the
 fitted rate is exactly |R|^2.
+
+The Monte Carlo checks (semigroup bounds, Kato functionals) run on the
+estimators' path layer: the chunk map of :mod:`mheat.semigroup` with fixed
+chunks of ``SEMIGROUP_CHUNK`` and ``KATO_CHUNK`` paths, and the W step of
+:mod:`mheat.transport` for all d^2 frame pairs at once.  ``threads`` changes
+their wall time, not their results.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ from .geometry import (
     curvature_package,
 )
 from .oracle import (
+    OracleError,
     QuadratureGrid,
     kernel_hess_quadrature,
     kernel_on_grid,
     lp_norm,
     quadrature_grid,
 )
-from .semigroup import RunningMoments, _w_chunk_update, default_theta, derive_seed
+from .semigroup import RunningMoments, _chunk_map, _chunked_mc, default_theta, derive_seed
 from .spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
@@ -47,7 +54,7 @@ from .spectral import (
     sphere_bochner_residual,
     torus_bochner_residual,
 )
-from .transport import ChunkWalk, frame_components, q_decay_factor
+from .transport import ChunkWalk, frame_components, q_decay_factor, w_step
 
 __all__ = [
     "BoundCheckConfig",
@@ -62,6 +69,10 @@ __all__ = [
 ]
 
 MIN_STAT_PATHS = 1000
+# paths per chunk of the Monte Carlo checks; fixed, so that results do not
+# depend on the thread count
+SEMIGROUP_CHUNK = 8192
+KATO_CHUNK = 16384
 
 
 @dataclass
@@ -520,53 +531,49 @@ def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
 # semigroup bounds (shared-path Monte Carlo)
 
 def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
-                       n_paths: int, h: float, seed: int):
+                       n_paths: int, h: float, seed: int,
+                       threads: Optional[int] = None):
     """Shared-path estimates of Hess P_t f and the domination ingredients."""
     d = m.dim
     n_steps = max(2, int(round(t / h)))
     hh = t / n_steps
     damp = math.exp(-hh * (d - 1) * m.sectional_curvature)
-    pairs = [(i, j) for i in range(d) for j in range(d)]
     x0 = np.asarray(x.coords)
     qvals = q_decay_factor(m, np.arange(n_steps) * hh)
-    acc = RunningMoments()
-    chunk = 8192
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    qT = float(q_decay_factor(m, t))
+    # every frame pair (e_i, e_j) at once: qv[i, j] = e_i, qw[i, j] = e_j
+    eye = np.eye(d)
+    ev = np.broadcast_to(eye[:, None, :], (d, d, d))
+    ew = np.broadcast_to(eye[None, :, :], (d, d, d))
+
+    def worker(lo, hi):
         walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi)
         n = walk.n_paths
-        W = {pr: np.zeros((d, n)) for pr in pairs}
-        eye = np.eye(d)
+        W = np.zeros((d, d, d, n))
         for k, dB in walk.steps():
             q = qvals[k]
-            for (i, j) in pairs:
-                W[(i, j)] = _w_chunk_update(m, W[(i, j)], dB.T, q * eye[i],
-                                            q * eye[j], damp)
-        qT = float(q_decay_factor(m, t))
+            W = w_step(m, W, dB.T, q * ev, q * ew, damp)
         H = f.hess_fn(walk.points, walk.frames)
         G = f.grad_fn(walk.points)
         gc = frame_components(m, walk.frames, G)
         fv = f.eval_fn(walk.points)
-        hess_samples = qT * qT * H.reshape(n, d * d).copy()
-        for idx, (i, j) in enumerate(pairs):
-            hess_samples[:, idx] += np.einsum("nd,dn->n", gc, W[(i, j)])
-        gram = np.zeros((n, len(pairs), len(pairs)))
-        for a, pa in enumerate(pairs):
-            for b, pb in enumerate(pairs):
-                if b < a:
-                    gram[:, a, b] = gram[:, b, a]
-                else:
-                    gram[:, a, b] = np.einsum("dn,dn->n", W[pa], W[pb])
+        # C-ordered samples: numpy sums the column means of an F-ordered
+        # block pairwise, which rounds differently
+        Wp = W.reshape(d * d, d, n)
+        hess_samples = (qT * qT * H.reshape(n, d * d)
+                        + np.einsum("nd,pdn->np", gc, Wp, order="C"))
+        gram = np.einsum("adn,bdn->nab", Wp, Wp, order="C")
         hs2 = np.sum(H * H, axis=(1, 2))
         gsq = np.sum(gc * gc, axis=1)
-        block = np.concatenate([
+        return np.concatenate([
             hess_samples,                     # d*d Hessian components
             fv[:, None] ** 2,                 # |f|^2
             gsq[:, None],                     # |df|^2
             hs2[:, None],                     # |Hess f|_HS^2
             gram.reshape(n, -1),              # W pair Gram
         ], axis=1)
-        acc.update_batch(block)
+
+    acc = _chunked_mc(worker, n_paths, SEMIGROUP_CHUNK, threads)
     mean = acc.mean
     se = acc.stderr()
     dd = d * d
@@ -576,7 +583,7 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     pt_gsq = float(mean[dd + 1])
     pt_hs2 = float(mean[dd + 2])
     se_f2, se_gsq, se_hs2 = float(se[dd]), float(se[dd + 1]), float(se[dd + 2])
-    gram_mean = mean[dd + 3:].reshape(len(pairs), len(pairs))
+    gram_mean = mean[dd + 3:].reshape(dd, dd)
     # sup over unit (v, w) of E|W(v, w)|^2 from the pair Gram
     if d == 2:
         ang = np.linspace(0.0, math.pi, 64, endpoint=False)
@@ -600,7 +607,8 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
                            x_list: Optional[Sequence[Point]] = None,
                            t_list: Optional[Sequence[float]] = None,
                            lp_grid_resolution: Optional[int] = None,
-                           include_lp: bool = True):
+                           include_lp: bool = True,
+                           threads: Optional[int] = None):
     """Three checks on Hess P_t f: the pointwise growth bound, its L^p-norm
     version, and the domination by (P_t |Hess f|^2)^{1/2} plus a gradient
     term weighted by the measured W moment.
@@ -626,7 +634,7 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     for it, t in enumerate(t_list):
         for ix, x in enumerate(x_list):
             sm = _semigroup_samples(m, f, x, float(t), n_paths, cfg.h,
-                                    derive_seed(seed, it, ix))
+                                    derive_seed(seed, it, ix), threads)
             hnorm = float(np.linalg.norm(sm["hess"], 2))
             hse = float(np.max(sm["hess_se"])) * m.dim
             rhs_a = ((1.0 + math.sqrt(t)) * math.exp((2 * K + theta) * t)
@@ -659,12 +667,13 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
         try:
             grid = quadrature_grid(m, lp_grid_resolution)
             have_grid = True
-        except Exception:
+        except OracleError:
             have_grid = False
     if have_grid:
         fnorm = lp_norm(grid, f.eval_fn(grid.nodes), 2)
         for t in t_list:
-            hvals = _hess_field_norm(m, f, float(t), grid, n_paths, cfg.h, seed)
+            hvals = _hess_field_norm(m, f, float(t), grid, n_paths, cfg.h, seed,
+                                     threads)
             lhs = t * lp_norm(grid, hvals, 2)
             rhs = (1.0 + math.sqrt(t)) * math.exp((2 * K + theta) * t) * fnorm
             rows_b.append({"t": float(t), "lhs": lhs, "rhs_no_const": rhs,
@@ -691,7 +700,7 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
 
 def _hess_field_norm(m: ManifoldModel, f: ScalarField, t: float,
                      grid: QuadratureGrid, n_paths: int, h: float,
-                     seed: int) -> np.ndarray:
+                     seed: int, threads: Optional[int] = None) -> np.ndarray:
     """|Hess P_t f| at the grid nodes: kernel quadrature where a fast kernel
     exists, otherwise the mixed-formula Monte Carlo pointwise."""
     if m.kind != "hyperbolic":
@@ -703,7 +712,8 @@ def _hess_field_norm(m: ManifoldModel, f: ScalarField, t: float,
     vals = np.empty(len(grid.nodes))
     n = max(MIN_STAT_PATHS, n_paths // 10)
     for i, node in enumerate(grid.nodes):
-        sm = _semigroup_samples(m, f, Point(node), t, n, h, derive_seed(seed, 91, i))
+        sm = _semigroup_samples(m, f, Point(node), t, n, h, derive_seed(seed, 91, i),
+                                threads)
         vals[i] = float(np.linalg.norm(sm["hess"], 2))
     return vals
 
@@ -713,7 +723,8 @@ def _hess_field_norm(m: ManifoldModel, f: ScalarField, t: float,
 
 def kato_functional(m: ManifoldModel, potential: ScalarField,
                     t_list: Sequence[float], x_list: Sequence[Point],
-                    n_paths: int, seed: int, h: Optional[float] = None) -> KatoResult:
+                    n_paths: int, seed: int, h: Optional[float] = None,
+                    threads: Optional[int] = None) -> KatoResult:
     """Time integrals E^x[int_0^t V(X_s) ds] and exponential moments.
 
     The table reports, per t, the sup over x_list of the mean integral and
@@ -739,15 +750,15 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
             for t in t_list}
     for xi, x in enumerate(x_list):
         x0 = np.asarray(x.coords)
-        chunk = 16384
+        seed_x = derive_seed(seed, 11, xi)
         integ_acc = {t: RunningMoments() for t in t_list}
         exp_acc = {t: RunningMoments() for t in t_list}
         dropped = {t: 0 for t in t_list}
-        for lo in range(0, n_paths, chunk):
-            hi = min(lo + chunk, n_paths)
-            snapshots = _kato_chunk(m, x0, t_max, n_steps,
-                                    derive_seed(seed, 11, xi),
-                                    lo, hi, potential, marks)
+
+        def worker(lo, hi):
+            return _kato_chunk(m, x0, t_max, n_steps, seed_x, lo, hi, potential, marks)
+
+        for snapshots in _chunk_map(worker, n_paths, KATO_CHUNK, threads):
             for t, k in zip(t_list, marks):
                 snap = snapshots[k]
                 integ_acc[t].update_batch(snap)

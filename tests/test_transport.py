@@ -22,6 +22,7 @@ from mheat.transport import (
     sample_path,
     w_process,
     w_process_generic,
+    w_step,
 )
 
 
@@ -196,7 +197,7 @@ def test_w_redundancy_oracle(m):
 
 
 def _w_terminal_moment(m, t, n_steps, n_paths, seed, pair="orthonormal"):
-    """Mean |W_t(v, w)|^2 over paths using the vectorized recursion."""
+    """Mean |W_t(v, w)|^2 over paths using the estimators' W step."""
     d = m.dim
     kappa = m.sectional_curvature
     h = t / n_steps
@@ -209,14 +210,11 @@ def _w_terminal_moment(m, t, n_steps, n_paths, seed, pair="orthonormal"):
     else:
         wbar[0] = 1.0
     damp = math.exp(-h * (d - 1) * kappa)
-    W = np.zeros((n_paths, d))
+    W = np.zeros((d, n_paths))
     for k, dB in walk.steps():
         qk = q_decay_factor(m, k * h)
-        qv = qk * vbar
-        qw = qk * wbar
-        incr = kappa * (np.dot(qv, qw) * dB - (dB @ qw)[:, None] * qv[None, :])
-        W = damp * W + incr
-    sq = np.sum(W ** 2, axis=1)
+        W = w_step(m, W, dB.T, qk * vbar, qk * wbar, damp)
+    sq = np.sum(W ** 2, axis=0)
     return sq.mean(), sq.std(ddof=1) / math.sqrt(n_paths)
 
 
@@ -277,14 +275,3 @@ def test_antithetic_chunks_flip_signs():
     assert np.array_equal(inc[2], -inc[3])
     assert not np.array_equal(inc[0], inc[2])
 
-
-def test_final_transport_state_lazy_pairs():
-    from mheat.transport import final_transport_state
-    m = Sphere(2, 1.0)
-    path = sample_path(m, base(m), 0.3, 0.003, seed=12, path_index=0)
-    st = final_transport_state(m, path)
-    assert st.w is None
-    assert np.allclose(st.q, math.exp(-0.3) * np.eye(2))
-    st2 = final_transport_state(m, path, pairs=[(0, 1)])
-    assert set(st2.w) == {(0, 1)}
-    assert st2.w[(0, 1)].shape == (2,)
