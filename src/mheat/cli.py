@@ -10,6 +10,8 @@ result table (RFC 4180, UTF-8, '.' decimal separator, 17 significant
 digits), and gnuplot-ready two-column ``.dat`` files for every
 (parameter, ratio) series.  Rerunning the same config with the same binary
 reproduces every numeric payload byte for byte.
+Every kind that walks paths, ``simulate`` included, observes fixed chunks
+of them through :mod:`mheat.semigroup`; ``--threads`` leaves payloads as is.
 
 Exit codes: 0 all checks passed or were inconclusive within their declared
 tolerances, 1 at least one check failed, 2 configuration error.
@@ -57,13 +59,14 @@ from .geometry import (
 )
 from .semigroup import (
     HessianEstimatorConfig,
+    _walk_chunks,
     estimate_grad,
     estimate_green_hess,
     estimate_hess,
     estimate_pt,
 )
 from .spectral import random_spherical_polynomials, random_trig_polynomials
-from .transport import ChunkWalk, q_decay_factor
+from .transport import q_decay_factor
 from .verify import (
     BoundCheckConfig,
     BoundReport,
@@ -440,15 +443,19 @@ def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     t = float(p.get("t", 1.0))
     n_steps = max(1, int(round(t / cfg.h)))
-    x = _point_from(m, p.get("x0"))
-    walk = ChunkWalk(m, np.asarray(x.coords), t, n_steps, cfg.seed, 0,
-                     cfg.n_paths)
-    walk.run()
-    rho = m.distance(np.broadcast_to(np.asarray(x.coords), walk.points.shape),
-                     walk.points)
-    msd = float(np.mean(rho ** 2))
-    msd_se = float(np.std(rho ** 2, ddof=1) / math.sqrt(cfg.n_paths))
-    defect = float(np.max(m.embedding_defect(walk.points)))
+    x0 = np.asarray(_point_from(m, p.get("x0")).coords)
+
+    def observe(walk):
+        walk.run()
+        rho = m.distance(np.broadcast_to(x0, walk.points.shape), walk.points)
+        return np.stack([rho ** 2, m.embedding_defect(walk.points)])
+
+    rho2, defects = np.concatenate(list(_walk_chunks(
+        m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe, threads=cfg.threads)),
+        axis=1)
+    msd = float(np.mean(rho2))
+    msd_se = float(np.std(rho2, ddof=1) / math.sqrt(cfg.n_paths))
+    defect = float(np.max(defects))
     qn = float(q_decay_factor(m, t))
     rows = [
         ["mean_square_displacement", msd, msd_se, f"monte-carlo({msd_se:.3g})"],
@@ -701,8 +708,8 @@ def main(argv: Optional[list] = None) -> int:
     p_run = sub.add_parser("run", help="execute a TOML experiment config")
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker cap for the Monte Carlo estimators and checks; "
-                            "results do not depend on it "
+                       help="worker cap for all Monte Carlo path chunks, simulate "
+                            "included; results do not depend on it "
                             "(default: MHEAT_THREADS or serial)")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")

@@ -52,6 +52,7 @@ __all__ = [
     "kernel_on_grid",
     "kernel_hess_quadrature",
     "quadrature_grid",
+    "polar_grid",
     "lp_norm",
 ]
 
@@ -501,7 +502,8 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
       polynomials up to degree 2 * resolution - 1
     * euclidean: Gauss-Legendre box [-L, L]^d with L = half_width
       (caller owns the tail bound for its integrand)
-    * hyperbolic (d = 2): geodesic polar grid with radial cutoff
+    * hyperbolic (d = 2): geodesic polar grid with radial cutoff (OracleError
+      when a * cutoff_radius leaves hyperboloid coordinates too inexact)
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -542,25 +544,46 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
             raise OracleError("hyperbolic quadrature implemented for d = 2 only")
         a = m.scale
         R = float(cutoff_radius)
-        rn, rw = leggauss(resolution)
-        rad = 0.5 * R * (rn + 1.0)
-        radw = 0.5 * R * rw
-        nphi = 2 * resolution
-        phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
-        x0 = m.base_point()
-        F = m.frame(x0[None, :])[0]
-        RAD, PHI = np.meshgrid(rad, phi, indexing="ij")
-        dirs = (np.cos(PHI)[..., None] * F[0][None, None, :]
-                + np.sin(PHI)[..., None] * F[1][None, None, :])
-        U = RAD[..., None] * dirs
-        X0 = np.broadcast_to(x0, U.shape[:-1] + (m.ambient_dim,))
-        nodes = m.retract(m.exp(X0.reshape(-1, m.ambient_dim),
-                                U.reshape(-1, m.ambient_dim)))
-        w = (np.sinh(a * RAD) / a * radw[:, None]
-             * (2.0 * math.pi / nphi)).ravel()
-        return QuadratureGrid(nodes, w, (resolution, nphi), m.kind,
-                              truncation_radius=R)
+        grid = polar_grid(m, m.base_point(), R, resolution, 2 * resolution)
+        # coordinates and their round-off grow like e^{aR}; NaN fails too
+        defect = a * a * float(np.max(m.embedding_defect(grid.nodes)))
+        if not defect <= 1e-5:
+            raise OracleError(f"H^2 grid leaves the hyperboloid at a*R = {a * R:g} "
+                              f"(a^2 * embedding defect {defect:.2g})")
+        return grid
     raise OracleError(f"no quadrature grid for {m.describe()}")
+
+
+def polar_grid(m: ManifoldModel, center: np.ndarray, radius: float,
+               n_rad: int, n_ang: int) -> QuadratureGrid:
+    """Geodesic polar grid on the ball B(center, radius) of a 2-d model:
+    Gauss-Legendre radii, uniform angles, exp map and the polar Jacobian."""
+    if m.dim != 2:
+        raise ValueError("polar grids implemented for 2-d models")
+    rn, rw = leggauss(n_rad)
+    rad = 0.5 * radius * (rn + 1.0)
+    radw = 0.5 * radius * rw
+    phi = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    F = m.frame(center[None, :])[0]
+    RAD, PHI = np.meshgrid(rad, phi, indexing="ij")
+    dirs = (np.cos(PHI)[..., None] * F[0][None, None, :]
+            + np.sin(PHI)[..., None] * F[1][None, None, :])
+    U = RAD[..., None] * dirs
+    X0 = np.broadcast_to(center, U.shape[:-1] + (m.ambient_dim,))
+    nodes = m.retract(m.exp(X0.reshape(-1, m.ambient_dim),
+                            U.reshape(-1, m.ambient_dim)))
+    kappa = m.sectional_curvature
+    if kappa == 0.0:
+        jac = RAD
+    elif kappa > 0:
+        sk = math.sqrt(kappa)
+        jac = np.sin(sk * RAD) / sk
+    else:
+        sk = math.sqrt(-kappa)
+        jac = np.sinh(sk * RAD) / sk
+    w = (jac * radw[:, None] * (2.0 * math.pi / n_ang)).ravel()
+    return QuadratureGrid(nodes, w, (n_rad, n_ang), m.kind,
+                          truncation_radius=radius)
 
 
 def lp_norm(grid: QuadratureGrid, values: np.ndarray, p: float) -> float:

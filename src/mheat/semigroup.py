@@ -20,11 +20,11 @@ Two independent Hessian representations are implemented:
       Hess P_t f(v, w) = E[ Hess f(Q_t v, Q_t w)(X_t) + df(W_t(v, w))(X_t) ]
 
 Stochastic integrals are left-point Riemann-Ito sums on the walk grid.
-Paths are split into fixed-size chunks by one ordered chunk map, which runs
-them on ``threads`` workers and returns their results in chunk order; the
-estimators here and verify's Monte Carlo checks fold those results in that
-order, so they are bitwise reproducible for a given (seed, n_paths,
-chunk_size) regardless of threading.
+Every Monte Carlo consumer (these estimators, verify's checks, the CLI's
+``simulate``) hands an ``observe(walk)`` to one path layer, which walks
+fixed-size chunks of paths on ``threads`` workers and returns observations
+in chunk order; folds in that order are bitwise reproducible for a given
+(seed, n_paths, chunk_size) regardless of threading.
 """
 
 from __future__ import annotations
@@ -214,26 +214,38 @@ def _chunk_map(worker, n_units: int, chunk_size: int, threads: Optional[int]):
         yield from ex.map(lambda c: worker(*c), chunks)
 
 
-def _chunked_mc(worker, n_units: int, chunk_size: int, threads: Optional[int]) -> RunningMoments:
-    """Fold the moments of worker(lo, hi) samples over the chunks in order."""
-    acc = RunningMoments()
-    for values in _chunk_map(worker, n_units, chunk_size, threads):
-        acc.update_batch(values)
-    return acc
+def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t: float, n_steps: int,
+                 seed: int, n_paths: int, observe, *, antithetic: bool = False,
+                 chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None):
+    """Yield observe(walk) on a fresh :class:`ChunkWalk` per chunk, in order.
 
-
-def _pair_reduce(values: np.ndarray, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return values
-    return 0.5 * (values[0::2] + values[1::2])
-
-
-def _unit_count(n_paths: int, antithetic: bool) -> int:
+    With ``antithetic`` a unit of ``chunk_size`` is the pair of paths
+    (2m, 2m + 1), and observe's per-path values come back pair-averaged.
+    """
     if antithetic:
         if n_paths % 2:
             raise ValueError("antithetic estimation needs an even path count")
-        return n_paths // 2
-    return n_paths
+        n_units, per_unit = n_paths // 2, 2
+    else:
+        n_units, per_unit = n_paths, 1
+
+    def worker(ulo, uhi):
+        walk = ChunkWalk(m, x0, t, n_steps, seed, per_unit * ulo, per_unit * uhi,
+                         antithetic=antithetic)
+        values = observe(walk)
+        if antithetic:
+            return 0.5 * (values[0::2] + values[1::2])
+        return values
+
+    return _chunk_map(worker, n_units, chunk_size, threads)
+
+
+def _walk_moments(*args, **kw) -> RunningMoments:
+    """Fold the moments of :func:`_walk_chunks` values in chunk order."""
+    acc = RunningMoments()
+    for values in _walk_chunks(*args, **kw):
+        acc.update_batch(values)
+    return acc
 
 
 def _vw_components(m: ManifoldModel, x: Point, v: TangentVector,
@@ -256,20 +268,15 @@ def estimate_pt(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     """P_t f(x) as the sample mean of f(X_t)."""
     if n_paths < 2:
         raise ValueError("need at least two paths")
-    n_steps = _check_grid(t, h)
-    x0 = np.asarray(x.coords)
 
-    def worker(ulo, uhi):
-        lo, hi = (2 * ulo, 2 * uhi) if antithetic else (ulo, uhi)
-        walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi, antithetic=antithetic)
-        walk.run()
-        vals = f.eval_fn(walk.points)
+    def fn(points, frames):
+        vals = f.eval_fn(points)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("f non-finite at a path endpoint")
-        return _pair_reduce(vals, antithetic)
+        return vals
 
-    acc = _chunked_mc(worker, _unit_count(n_paths, antithetic), chunk_size, threads)
-    return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, "pt")
+    return estimate_endpoint(m, fn, x, t, n_paths, h, seed, antithetic=antithetic,
+                             chunk_size=chunk_size, threads=threads, mode="pt")
 
 
 def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
@@ -279,16 +286,13 @@ def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
                       mode: str = "endpoint") -> McEstimate:
     """Mean of an arbitrary endpoint functional fn(points, frames)."""
     n_steps = _check_grid(t, h)
-    x0 = np.asarray(x.coords)
 
-    def worker(ulo, uhi):
-        lo, hi = (2 * ulo, 2 * uhi) if antithetic else (ulo, uhi)
-        walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi, antithetic=antithetic)
+    def observe(walk):
         walk.run()
-        return _pair_reduce(np.asarray(fn(walk.points, walk.frames), dtype=float),
-                            antithetic)
+        return np.asarray(fn(walk.points, walk.frames), dtype=float)
 
-    acc = _chunked_mc(worker, _unit_count(n_paths, antithetic), chunk_size, threads)
+    acc = _walk_moments(m, np.asarray(x.coords), t, n_steps, seed, n_paths, observe,
+                        antithetic=antithetic, chunk_size=chunk_size, threads=threads)
     return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, mode)
 
 
@@ -299,20 +303,14 @@ def estimate_grad(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     """<grad P_t f(x), v> = E[<grad f(X_t), Q_t v>] via damped transport."""
     if f.grad_fn is None:
         raise ValueError("estimate_grad needs a gradient oracle for f")
-    n_steps = _check_grid(t, h)
-    x0 = np.asarray(x.coords)
     vbar, _ = _vw_components(m, x, v)
     qT = float(q_decay_factor(m, t))
 
-    def worker(ulo, uhi):
-        lo, hi = (2 * ulo, 2 * uhi) if antithetic else (ulo, uhi)
-        walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi, antithetic=antithetic)
-        walk.run()
-        gc = frame_components(m, walk.frames, f.grad_fn(walk.points))
-        return _pair_reduce(qT * (gc @ vbar), antithetic)
+    def fn(points, frames):
+        return qT * (frame_components(m, frames, f.grad_fn(points)) @ vbar)
 
-    acc = _chunked_mc(worker, _unit_count(n_paths, antithetic), chunk_size, threads)
-    return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, "grad")
+    return estimate_endpoint(m, fn, x, t, n_paths, h, seed, antithetic=antithetic,
+                             chunk_size=chunk_size, threads=threads, mode="grad")
 
 
 def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
@@ -340,9 +338,7 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     kd = np.array([cfg.kdot(float(s), t) for s in svals])
     ld = np.array([cfg.ldot(float(s), t) for s in svals])
 
-    def worker(ulo, uhi):
-        lo, hi = (2 * ulo, 2 * uhi) if antithetic else (ulo, uhi)
-        walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi, antithetic=antithetic)
+    def observe(walk):
         n = walk.n_paths
         # per-step work on (d, n) arrays: dB.T of the yielded view is the
         # walk's contiguous increment row block
@@ -372,9 +368,10 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
             vals = term1 + np.einsum("nd,dn->n", gc, W)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite Hessian sample")
-        return _pair_reduce(vals, antithetic)
+        return vals
 
-    acc = _chunked_mc(worker, _unit_count(n_paths, antithetic), chunk_size, threads)
+    acc = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
+                        antithetic=antithetic, chunk_size=chunk_size, threads=threads)
     est = McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, f"hess-{mode}")
     se = float(np.max(est.stderr))
     if se > abs(float(np.max(np.abs(est.value)))):

@@ -13,10 +13,11 @@ the curvature potential; on the model spaces |R|^2 is constant, so the
 fitted rate is exactly |R|^2.
 
 The Monte Carlo checks (semigroup bounds, Kato functionals) run on the
-estimators' path layer: the chunk map of :mod:`mheat.semigroup` with fixed
-chunks of ``SEMIGROUP_CHUNK`` and ``KATO_CHUNK`` paths, and the W step of
-:mod:`mheat.transport` for all d^2 frame pairs at once.  ``threads`` changes
-their wall time, not their results.
+estimators' path layer: each hands an ``observe(walk)`` for chunks of
+``SEMIGROUP_CHUNK`` or ``KATO_CHUNK`` paths to :mod:`mheat.semigroup`.  One
+advances the W step of :mod:`mheat.transport` for all d^2 frame pairs at
+once, the other snapshots potential integrals.  ``threads`` changes their
+wall time, not their results.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .oracle import (
     kernel_hess_quadrature,
     kernel_on_grid,
     lp_norm,
+    polar_grid,
     quadrature_grid,
 )
-from .semigroup import RunningMoments, _chunk_map, _chunked_mc, default_theta, derive_seed
+from .semigroup import RunningMoments, _walk_chunks, _walk_moments, default_theta, derive_seed
 from .spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
@@ -54,7 +56,7 @@ from .spectral import (
     sphere_bochner_residual,
     torus_bochner_residual,
 )
-from .transport import ChunkWalk, frame_components, q_decay_factor, w_step
+from .transport import frame_components, q_decay_factor, w_step
 
 __all__ = [
     "BoundCheckConfig",
@@ -408,45 +410,14 @@ def check_weighted_l2(m: ManifoldModel, cfg: BoundCheckConfig):
 # ---------------------------------------------------------------------------
 # Gaffney off-diagonal decay
 
-def _cap_grid(m: ManifoldModel, center: np.ndarray, radius: float,
-              n_rad: int, n_ang: int) -> QuadratureGrid:
-    """Polar quadrature patch over a geodesic cap (2-d models)."""
-    from numpy.polynomial.legendre import leggauss
-    if m.dim != 2:
-        raise ValueError("cap grids implemented for 2-d models")
-    rn, rw = leggauss(n_rad)
-    rad = 0.5 * radius * (rn + 1.0)
-    radw = 0.5 * radius * rw
-    phi = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-    F = m.frame(center[None, :])[0]
-    RAD, PHI = np.meshgrid(rad, phi, indexing="ij")
-    dirs = (np.cos(PHI)[..., None] * F[0][None, None, :]
-            + np.sin(PHI)[..., None] * F[1][None, None, :])
-    U = RAD[..., None] * dirs
-    X0 = np.broadcast_to(center, U.shape[:-1] + (m.ambient_dim,))
-    nodes = m.retract(m.exp(X0.reshape(-1, m.ambient_dim).copy(),
-                            U.reshape(-1, m.ambient_dim)))
-    kappa = m.sectional_curvature
-    if kappa == 0.0:
-        jac = RAD
-    elif kappa > 0:
-        sk = math.sqrt(kappa)
-        jac = np.sin(sk * RAD) / sk
-    else:
-        sk = math.sqrt(-kappa)
-        jac = np.sinh(sk * RAD) / sk
-    w = (jac * radw[:, None] * (2.0 * math.pi / n_ang)).ravel()
-    return QuadratureGrid(nodes, w, (n_rad, n_ang), m.kind)
-
-
 def _gaffney_scan(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
                   centerE: np.ndarray, centerF: np.ndarray, radius: float,
                   t_grid: np.ndarray, n_rad: int, n_ang: int):
     K = m.ricci_lower_bound
     theta = default_theta(m)
     f = compact_bump_field(m, center=centerE, r0=radius)
-    gridE = _cap_grid(m, centerE, radius, n_rad, n_ang)
-    gridF = _cap_grid(m, centerF, radius, n_rad, n_ang)
+    gridE = polar_grid(m, centerE, radius, n_rad, n_ang)
+    gridF = polar_grid(m, centerF, radius, n_rad, n_ang)
     fvals = f.eval_fn(gridE.nodes)
     fnorm = lp_norm(gridE, fvals, p)
     rho_ef = float(m.distance(centerE[None, :], centerF[None, :])[0]) - 2 * radius
@@ -546,8 +517,7 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     ev = np.broadcast_to(eye[:, None, :], (d, d, d))
     ew = np.broadcast_to(eye[None, :, :], (d, d, d))
 
-    def worker(lo, hi):
-        walk = ChunkWalk(m, x0, t, n_steps, seed, lo, hi)
+    def observe(walk):
         n = walk.n_paths
         W = np.zeros((d, d, d, n))
         for k, dB in walk.steps():
@@ -573,7 +543,8 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
             gram.reshape(n, -1),              # W pair Gram
         ], axis=1)
 
-    acc = _chunked_mc(worker, n_paths, SEMIGROUP_CHUNK, threads)
+    acc = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
+                        chunk_size=SEMIGROUP_CHUNK, threads=threads)
     mean = acc.mean
     se = acc.stderr()
     dd = d * d
@@ -749,16 +720,13 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
                 "expmom": -math.inf, "expmom_se": 0.0, "dropped": 0}
             for t in t_list}
     for xi, x in enumerate(x_list):
-        x0 = np.asarray(x.coords)
-        seed_x = derive_seed(seed, 11, xi)
         integ_acc = {t: RunningMoments() for t in t_list}
         exp_acc = {t: RunningMoments() for t in t_list}
         dropped = {t: 0 for t in t_list}
-
-        def worker(lo, hi):
-            return _kato_chunk(m, x0, t_max, n_steps, seed_x, lo, hi, potential, marks)
-
-        for snapshots in _chunk_map(worker, n_paths, KATO_CHUNK, threads):
+        for snapshots in _walk_chunks(
+                m, np.asarray(x.coords), t_max, n_steps, derive_seed(seed, 11, xi),
+                n_paths, lambda walk: _kato_snapshots(walk, potential, marks),
+                chunk_size=KATO_CHUNK, threads=threads):
             for t, k in zip(t_list, marks):
                 snap = snapshots[k]
                 integ_acc[t].update_batch(snap)
@@ -805,15 +773,14 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
                       notes="confidence=0.997 (3-sigma slack)")
 
 
-def _kato_chunk(m, x0, t_max, n_steps, seed, lo, hi, potential, marks):
+def _kato_snapshots(walk, potential, marks):
     """Trapezoid path integrals of the potential, snapshotted at mark nodes."""
-    walk = ChunkWalk(m, x0, t_max, n_steps, seed, lo, hi)
     integral = np.zeros(walk.n_paths)
     vals_prev = potential.eval_fn(walk.points)
     snapshots = {}
     if 0 in marks:
         snapshots[0] = integral.copy()
-    for k in range(n_steps):
+    for k in range(walk.n_steps):
         walk.step(k)
         vals_cur = potential.eval_fn(walk.points)
         integral += 0.5 * walk.h * (vals_prev + vals_cur)

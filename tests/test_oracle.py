@@ -1,5 +1,6 @@
 """Heat kernel oracles and quadrature grids."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from mheat.oracle import (
     heat_kernel,
     kernel_on_grid,
     lp_norm,
+    polar_grid,
     quadrature_grid,
 )
 from mheat.transport import ChunkWalk
@@ -239,3 +241,42 @@ def test_euclidean_grid_gaussian_integral():
     grid = quadrature_grid(m, 80, half_width=10.0)
     vals = kernel_on_grid(m, grid.nodes, np.zeros(2), 1.0)["p"]
     assert abs(grid.integrate(vals) - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# geodesic polar grids
+
+def _grid_digest(grid):
+    h = hashlib.sha256(np.ascontiguousarray(grid.nodes).tobytes())
+    h.update(np.ascontiguousarray(grid.weights).tobytes())
+    return h.hexdigest()[:16]
+
+
+# digests of the H^2 quadrature grid and of the Gaffney cap grids, computed
+# with the two builders that polar_grid replaces
+@pytest.mark.parametrize("a, digest", [(1.0, "348a2ce20d39754a"),
+                                       (0.5, "029043bfef7944cf")])
+def test_hyperbolic_grid_unchanged(a, digest):
+    assert _grid_digest(quadrature_grid(Hyperbolic(2, a), 12)) == digest
+
+
+@pytest.mark.parametrize("m, digest", [
+    (Torus(2), "8cbdff88ee34aca2"),
+    (Sphere(2, 1.0), "5adf93b6b7b5811c"),
+    (Hyperbolic(2, 1.0), "3151dd7abc9f5146"),
+    (Euclidean(2), "436acac18018cb8d"),
+    (Sphere(2, 2.0), "90476affb8429ce2"),
+    (Hyperbolic(2, 0.5), "464f5d4adeadfb80"),
+], ids=["t2", "s2", "h2", "r2", "s2-radius2", "h2-scale0.5"])
+def test_polar_grid_matches_cap_grid(m, digest):
+    grid = polar_grid(m, m.base_point(), 0.4, 12, 16)
+    assert _grid_digest(grid) == digest
+    assert grid.resolution == (12, 16) and grid.truncation_radius == 0.4
+
+
+@pytest.mark.parametrize("a", [1.2, 1.7])
+def test_hyperbolic_grid_rejects_inexact_nodes(a):
+    # a*R = 14.4 drifts off the hyperboloid (a^2 defect 2.4e-4); a*R = 20.4
+    # gives NaN nodes
+    with pytest.raises(OracleError, match=r"a\*R = "):
+        quadrature_grid(Hyperbolic(2, a), 12)

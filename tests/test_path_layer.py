@@ -1,14 +1,20 @@
-"""The shared path layer: one chunk scheduler and one W step.
+"""The shared path layer: one chunked walk with observers, and one W step.
 
-Golden values were computed with the per-pair W loop and the serial chunk
-loops that the batched W step and the ordered chunk map replace; they are
-compared bitwise through ``float.hex``.
+Golden values were computed with the per-pair W loop, the serial chunk
+loops, the per-estimator chunk workers and the single-block ``simulate``
+that the batched W step and ``_walk_chunks`` replace; they are compared
+bitwise through ``float.hex``.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+import mheat
 from mheat import verify
+from mheat.cli import run_config
 from mheat.geometry import (
     Hyperbolic,
     Point,
@@ -16,7 +22,7 @@ from mheat.geometry import (
     TangentVector,
     gaussian_bump_field,
 )
-from mheat.semigroup import estimate_hess
+from mheat.semigroup import estimate_endpoint, estimate_grad, estimate_hess, estimate_pt
 from mheat.verify import (
     BoundCheckConfig,
     _semigroup_samples,
@@ -223,3 +229,124 @@ def test_semigroup_bounds_grid_errors_propagate(monkeypatch):
         check_semigroup_bounds(m, f, BoundCheckConfig(alpha=0.2, h=0.05),
                                n_paths=1000, seed=3, t_list=[0.1],
                                x_list=[Point(m.base_point())])
+
+
+def test_semigroup_bounds_lp_skipped_when_grid_leaves_hyperboloid():
+    # at a = 1.7 the default H^2 grid cannot hold its far nodes on the
+    # hyperboloid, so report (b) is skipped instead of failing downstream
+    m = Hyperbolic(2, 1.7)
+    f = gaussian_bump_field(m, lam=1.5)
+    _, rep_b, _ = check_semigroup_bounds(
+        m, f, BoundCheckConfig(alpha=0.2, h=0.05), n_paths=1000, seed=3,
+        t_list=[0.1], x_list=[Point(m.base_point())])
+    assert rep_b.samples == [] and not rep_b.passed
+
+
+# ---------------------------------------------------------------------------
+# endpoint functionals and simulate on the chunked walk
+
+def _endpoint_case(kind, op, antithetic, threads):
+    # 1000 paths in chunks of 300 units: 2 chunks of pairs, 4 of paths
+    m = _model(kind)
+    f = gaussian_bump_field(m, center=_point(m, 61), lam=1.5)
+    x = Point(_point(m, 62))
+    kw = dict(antithetic=antithetic, chunk_size=300, threads=threads)
+    if op == "pt":
+        est = estimate_pt(m, f, x, 0.1, 1000, 0.01, 4242, **kw)
+    elif op == "grad":
+        F = m.frame(np.asarray(x.coords)[None, :])[0]
+        v = TangentVector(x, 0.6 * F[0] + 0.8 * F[1])
+        est = estimate_grad(m, f, x, v, 0.1, 1000, 0.01, 4242, **kw)
+    else:
+        est = estimate_endpoint(m, lambda P, F: P, x, 0.1, 1000, 0.01, 4242, **kw)
+    return _hex(est.value) + _hex(est.stderr)
+
+
+GOLDEN_ENDPOINT = {
+    ("s2", "pt", True): ['0x1.606b04713ad42p-2', '0x1.15c826ab0d20cp-9'],
+    ("s2", "pt", False): ['0x1.5f6a0cef8b5fcp-2', '0x1.7a2a5a37449d8p-8'],
+    ("s2", "grad", True): ['0x1.883f7d0fafd26p-2', '0x1.2e2342e79f8d2p-9'],
+    ("s2", "grad", False): ['0x1.8a0cf20ff96f1p-2', '0x1.31d51e0b91b7bp-8'],
+    ("s2", "endpoint", True): [
+        '-0x1.5632a1ee8fdb6p-1', '-0x1.e4bdfb8b9ff3dp-2', '-0x1.b37f16581c2f6p-5',
+        '0x1.998e56716b5cap-8', '0x1.221452b9837e1p-8', '0x1.049c1ac9755fap-11',
+    ],
+    ("s2", "endpoint", False): [
+        '-0x1.54d397d37e1c9p-1', '-0x1.f557cfac2e4f0p-2', '-0x1.0961463974f23p-5',
+        '0x1.157b5dbf15d88p-7', '0x1.5dc431e2ad819p-7', '0x1.76c1a8f713cd9p-7',
+    ],
+    ("h2", "pt", True): ['0x1.f8375698a5602p-2', '0x1.3a3c69f381e7dp-8'],
+    ("h2", "pt", False): ['0x1.f732f7ece03eep-2', '0x1.113cd688d4198p-7'],
+    ("h2", "grad", True): ['0x1.0a4bf817885aep-1', '0x1.7b8d250e53b42p-7'],
+    ("h2", "grad", False): ['0x1.0c16566acbcfbp-1', '0x1.2df7bd8eb111dp-7'],
+    ("h2", "endpoint", True): [
+        '-0x1.9bc7459226ba9p-1', '-0x1.23a7495675e1fp-1', '0x1.9104c499a6751p+0',
+        '0x1.d40e923a4075fp-8', '0x1.4b83a7c999fd2p-8', '0x1.c7d39ab371669p-7',
+    ],
+    ("h2", "endpoint", False): [
+        '-0x1.875e165384402p-1', '-0x1.28caf90462bd6p-1', '0x1.8b12be69825c4p+0',
+        '0x1.2e9674190353bp-6', '0x1.317fe4700cb91p-6', '0x1.edae38bd533e3p-7',
+    ],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("op", ["pt", "grad", "endpoint"])
+@pytest.mark.parametrize("kind", ["s2", "h2"])
+def test_endpoint_estimators_golden(kind, op, antithetic, threads):
+    assert _endpoint_case(kind, op, antithetic, threads) == \
+        GOLDEN_ENDPOINT[(kind, op, antithetic)]
+
+
+SIMULATE_CFG = """
+kind = "simulate"
+seed = 13
+n_paths = 5000
+h = 0.01
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+radius = 1.0
+
+[simulate]
+t = 0.5
+"""
+
+GOLDEN_SIMULATE = [
+    ['mean_square_displacement', '0x1.9dcd88dafd7e7p+0', '0x1.6450bcc2fa8d8p-6'],
+    ['flat_reference_2dt', '0x1.0000000000000p+1', '0x0.0p+0'],
+    ['max_embedding_defect', '0x1.0000000000000p-52', '0x0.0p+0'],
+    ['damped_transport_norm', '0x1.368b2fc6f960ap-1', '0x0.0p+0'],
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_table_golden(tmp_path, threads):
+    # 5000 paths: two chunks of the default 4096
+    cfg = tmp_path / "sim.toml"
+    cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "out"), encoding="utf-8")
+    report = run_config(str(cfg), threads=threads)
+    rows = [[r[0]] + _hex(r[1:3]) for r in report.tables["simulate"]["rows"]]
+    assert rows == GOLDEN_SIMULATE
+
+
+# ---------------------------------------------------------------------------
+# structure: one place builds Monte Carlo walks
+
+def test_chunk_walk_built_only_in_path_layer():
+    allowed = {("semigroup", "_walk_chunks"), ("transport", "sample_path")}
+    found = set()
+    for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "ChunkWalk":
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == allowed

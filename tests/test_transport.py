@@ -13,6 +13,7 @@ from mheat.geometry import (
     TangentVector,
     Torus,
 )
+from mheat.semigroup import _walk_chunks
 from mheat.transport import (
     ChunkWalk,
     damped_transport,
@@ -201,7 +202,6 @@ def _w_terminal_moment(m, t, n_steps, n_paths, seed, pair="orthonormal"):
     d = m.dim
     kappa = m.sectional_curvature
     h = t / n_steps
-    walk = ChunkWalk(m, m.base_point(), t, n_steps, seed, 0, n_paths)
     vbar = np.zeros(d)
     vbar[0] = 1.0
     wbar = np.zeros(d)
@@ -210,11 +210,17 @@ def _w_terminal_moment(m, t, n_steps, n_paths, seed, pair="orthonormal"):
     else:
         wbar[0] = 1.0
     damp = math.exp(-h * (d - 1) * kappa)
-    W = np.zeros((d, n_paths))
-    for k, dB in walk.steps():
-        qk = q_decay_factor(m, k * h)
-        W = w_step(m, W, dB.T, qk * vbar, qk * wbar, damp)
-    sq = np.sum(W ** 2, axis=0)
+
+    def observe(walk):
+        W = np.zeros((d, walk.n_paths))
+        for k, dB in walk.steps():
+            qk = q_decay_factor(m, k * h)
+            W = w_step(m, W, dB.T, qk * vbar, qk * wbar, damp)
+        return np.sum(W ** 2, axis=0)
+
+    # chunked, so memory holds one chunk's walk rather than all paths
+    sq = np.concatenate(list(_walk_chunks(m, m.base_point(), t, n_steps, seed,
+                                          n_paths, observe)))
     return sq.mean(), sq.std(ddof=1) / math.sqrt(n_paths)
 
 
