@@ -507,7 +507,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
                                        "quadrature_tolerance", "provenance"],
                            "rows": rows}}
     verdicts = [{"check": f"estimate-{op}", "passed": True,
-                 "inconclusive": bool(est.notes)}]
+                 "inconclusive": est.variance_dominated}]
     return _mk_report(cfg, tables, verdicts)
 
 

@@ -544,9 +544,11 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
             raise OracleError("hyperbolic quadrature implemented for d = 2 only")
         a = m.scale
         R = float(cutoff_radius)
-        grid = polar_grid(m, m.base_point(), R, resolution, 2 * resolution)
-        # coordinates and their round-off grow like e^{aR}; NaN fails too
-        defect = a * a * float(np.max(m.embedding_defect(grid.nodes)))
+        # coordinates and their round-off grow like e^{aR}; overflow gives NaN
+        # nodes, which fail the defect test, so the OracleError is the signal
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            grid = polar_grid(m, m.base_point(), R, resolution, 2 * resolution)
+            defect = a * a * float(np.max(m.embedding_defect(grid.nodes)))
         if not defect <= 1e-5:
             raise OracleError(f"H^2 grid leaves the hyperboloid at a*R = {a * R:g} "
                               f"(a^2 * embedding defect {defect:.2g})")

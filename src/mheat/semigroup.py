@@ -25,6 +25,14 @@ Every Monte Carlo consumer (these estimators, verify's checks, the CLI's
 fixed-size chunks of paths on ``threads`` workers and returns observations
 in chunk order; folds in that order are bitwise reproducible for a given
 (seed, n_paths, chunk_size) regardless of threading.
+
+The Green operator integrates e^{-sigma t} Hess P_t f over log-time nodes,
+each an independent Hessian estimate on its own stream.  Its ``n_paths`` is
+an accuracy contract rather than a per-node count: a 64-path pilot per node
+(stream key 102, discarded) sizes the nodes by Neyman allocation so that
+the predicted variance equals that of ``n_paths`` paths at every node, with
+fewer path-steps; when the pilot sees no variance every node walks
+``n_paths`` paths.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 4096
+# Green pilot per quadrature node: paths and maximum steps
+_PILOT_PATHS = 64
+_PILOT_STEPS = 16
 
 
 def default_theta(m: ManifoldModel) -> float:
@@ -146,6 +157,11 @@ class McEstimate:
     @property
     def scalar_stderr(self) -> float:
         return float(np.asarray(self.stderr).reshape(-1)[0])
+
+    @property
+    def variance_dominated(self) -> bool:
+        """True when the standard error exceeds the largest |value|."""
+        return float(np.max(self.stderr)) > float(np.max(np.abs(self.value)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +389,34 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     acc = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
                         antithetic=antithetic, chunk_size=chunk_size, threads=threads)
     est = McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, f"hess-{mode}")
-    se = float(np.max(est.stderr))
-    if se > abs(float(np.max(np.abs(est.value)))):
+    if est.variance_dominated:
         est.notes = "stderr exceeds |value|: variance-dominated estimate"
+        se = float(np.max(est.stderr))
         # only worth a runtime warning when the noise is non-negligible
         if se > 1e-4:
             warnings.warn(f"Hessian estimate at t = {t:g} is variance dominated "
                           f"(stderr {se:.3g} > |value|)")
     return est
+
+
+def _neyman_counts(b: np.ndarray, steps: np.ndarray, n_paths: int,
+                   floor: int) -> np.ndarray:
+    """Per-node path counts n_i proportional to b_i / sqrt(steps_i).
+
+    ``b_i`` is node i's quadrature coefficient times its per-path standard
+    deviation.  The counts are scaled so that the predicted variance
+    sum b_i^2 / n_i equals that of ``n_paths`` paths at every node, rounded
+    up to even and floored at ``floor``.  By Cauchy-Schwarz the path-steps
+    sum n_i steps_i are then at most n_paths * sum steps_i (up to that
+    rounding).  Without a positive, finite b the rule is ``n_paths``
+    everywhere.
+    """
+    ss = float(np.sum(b * b))
+    if not (math.isfinite(ss) and ss > 0.0):
+        return np.full(len(b), n_paths)
+    rs = np.sqrt(steps)
+    n = n_paths * float(np.sum(b * rs)) / ss * (b / rs)
+    return np.maximum(2 * np.ceil(0.5 * n).astype(int), floor)
 
 
 def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
@@ -397,7 +433,25 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     tail beyond t_max is bounded through the fitted semigroup growth rate.
     The reported ``qtol`` combines head uncertainty, the tail bound and an
     embedded half-resolution discretization estimate.
+
+    Each node is an independent :func:`estimate_hess` on its own stream
+    ``derive_seed(seed, 101, i)``, with a Neyman allocation of paths: node i
+    gets n_i proportional to b_i / sqrt(steps_i), where b_i is its absolute
+    quadrature coefficient (the head's weight added to node 0's) times the
+    per-path standard deviation from a pilot.  The pilot walks
+    min(64, n_paths) paths over min(steps_i, 16) steps on the separate
+    stream ``derive_seed(seed, 102, i)`` and is then discarded, so the
+    allocation is independent of the samples it weights.  ``n_paths`` is an
+    accuracy contract: the counts give the predicted variance of
+    ``n_paths`` paths at every node, at no more path-steps than that equal
+    rule.  When every pilot deviation is 0 (a deterministic integrand) or
+    none is finite, every node walks ``n_paths`` paths.  The result is a
+    deterministic function of (seed, n_paths, chunk_size, cfg) at any
+    thread count; ``notes`` records the pilot and main path-steps and the
+    node count range.
     """
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic estimation needs an even path count")
     sigma = cfg.sigma
     theta = cfg.theta if cfg.theta is not None else default_theta(m)
     K = m.ricci_lower_bound
@@ -413,26 +467,7 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     if mode is None:
         mode = "mixed" if f.has_oracles else "bismut"
     nodes = np.geomspace(cfg.t_min, t_max, cfg.n_nodes)
-    ests = []
-    noisy_nodes = 0
-    for i, tn in enumerate(nodes):
-        n_steps = int(np.clip(round(tn / h), 8, 200000))
-        hn = tn / n_steps
-        # variance domination at individual tail nodes (value near zero) is
-        # expected; collect it into the notes instead of warning per node
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            est = estimate_hess(
-                m, f, x, v, w, float(tn), cfg, mode, n_paths=n_paths, h=hn,
-                seed=derive_seed(seed, 101, i), antithetic=antithetic,
-                chunk_size=chunk_size, threads=threads)
-        if est.notes:
-            noisy_nodes += 1
-        ests.append(est)
-    hvals = np.array([float(np.asarray(e.value)) for e in ests])
-    hserr = np.array([float(np.asarray(e.stderr)) for e in ests])
-    g = np.exp(-sigma * nodes) * hvals
-    gs = np.exp(-sigma * nodes) * hserr
+    steps = np.clip(np.round(nodes / h), 8, 200000).astype(int)
     u = np.log(nodes)
 
     def trapz_weights(uu):
@@ -443,20 +478,47 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
         return wts
 
     wts = trapz_weights(u) * nodes  # du integration with dt = t du
+    head_frac = 1.0 - math.exp(-sigma * cfg.t_min)
+    # node 0's estimate also carries the [0, t_min) head rectangle
+    coef = wts * np.exp(-sigma * nodes)
+    coef[0] += head_frac / sigma
+
+    def node_hess(i, n, n_steps, stream):
+        # variance domination at individual tail nodes (value near zero) is
+        # expected; collect it into the notes instead of warning per node
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return estimate_hess(
+                m, f, x, v, w, float(nodes[i]), cfg, mode, n_paths=int(n),
+                h=float(nodes[i]) / int(n_steps),
+                seed=derive_seed(seed, stream, i), antithetic=antithetic,
+                chunk_size=chunk_size, threads=threads)
+
+    n_pilot = min(_PILOT_PATHS, n_paths)
+    pilot_steps = np.minimum(steps, _PILOT_STEPS)
+    sd = np.array([node_hess(i, n_pilot, pilot_steps[i], 102).scalar_stderr
+                   for i in range(len(nodes))]) * math.sqrt(n_pilot)
+    counts = _neyman_counts(np.abs(coef) * sd, steps, n_paths, n_pilot)
+    ests = [node_hess(i, counts[i], steps[i], 101) for i in range(len(nodes))]
+    noisy_nodes = sum(1 for e in ests if e.notes)
+    hvals = np.array([float(np.asarray(e.value)) for e in ests])
+    hserr = np.array([float(np.asarray(e.stderr)) for e in ests])
+    g = np.exp(-sigma * nodes) * hvals
     integral = float(np.sum(wts * g))
     half = float(np.sum((trapz_weights(u[::2]) * nodes[::2]) * g[::2]))
     disc = abs(integral - half) / 3.0
-    head = hvals[0] * (1.0 - math.exp(-sigma * cfg.t_min)) / sigma
-    head_se = hserr[0] * (1.0 - math.exp(-sigma * cfg.t_min)) / sigma
+    head = hvals[0] * head_frac / sigma
     if rate > 0:
         tail = abs(hvals[-1]) * math.exp(-sigma * t_max) / rate
     else:
         tail = math.inf
     value = integral + head
-    stderr = math.sqrt(float(np.sum((wts * gs) ** 2)) + head_se ** 2)
+    stderr = math.sqrt(float(np.sum((coef * hserr) ** 2)))
     qtol = 0.5 * abs(head) + tail + disc
     notes = (f"nodes={cfg.n_nodes} t_min={cfg.t_min:g} t_max={t_max:g} "
-             f"theta={theta:g}")
+             f"theta={theta:g}; path-steps pilot={n_pilot * int(pilot_steps.sum())} "
+             f"main={int(counts @ steps)} equal-rule={n_paths * int(steps.sum())}; "
+             f"node paths {int(counts.min())}-{int(counts.max())}")
     if noisy_nodes:
         notes += f"; {noisy_nodes} variance-dominated quadrature nodes"
     return McEstimate(np.asarray(value), np.asarray(stderr), n_paths,

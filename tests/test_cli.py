@@ -208,6 +208,39 @@ v = [1.0, 0.0]
     assert abs(value - exact) <= 3 * stderr
 
 
+def test_green_hess_verdict_conclusive(tmp_path):
+    # Green's notes always carry its provenance; only a variance-dominated
+    # estimate makes the verdict inconclusive
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"""
+kind = "estimate"
+seed = 5
+n_paths = 400
+h = 0.02
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+radius = 1.0
+
+[estimate]
+op = "green-hess"
+field = "coord-z"
+sigma = 3.0
+n_nodes = 12
+point = [0.6, 0.0, 0.8]
+v = [1.0, 0.0]
+w = [1.0, 0.0]
+""")
+    report = run_config(cfg)
+    value, stderr, qtol = report.tables["estimate"]["rows"][0][1:4]
+    # Hess z = -z g on S^2, so the (v, v) component is -z / (2 + sigma)
+    assert abs(value + 0.8 / 5.0) <= 4.0 * stderr + qtol
+    assert report.verdicts == [{"check": "estimate-green-hess", "passed": True,
+                                "inconclusive": False}]
+
+
 def test_simulate_kind(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path, f"""

@@ -274,6 +274,7 @@ def test_polar_grid_matches_cap_grid(m, digest):
     assert grid.resolution == (12, 16) and grid.truncation_radius == 0.4
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [1.2, 1.7])
 def test_hyperbolic_grid_rejects_inexact_nodes(a):
     # a*R = 14.4 drifts off the hyperboloid (a^2 defect 2.4e-4); a*R = 20.4

@@ -231,6 +231,7 @@ def test_semigroup_bounds_grid_errors_propagate(monkeypatch):
                                x_list=[Point(m.base_point())])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_semigroup_bounds_lp_skipped_when_grid_leaves_hyperboloid():
     # at a = 1.7 the default H^2 grid cannot hold its far nodes on the
     # hyperboloid, so report (b) is skipped instead of failing downstream
