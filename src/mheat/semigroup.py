@@ -28,10 +28,11 @@ in chunk order; folds in that order are bitwise reproducible for a given
 
 The Green operator integrates e^{-sigma t} Hess P_t f over log-time nodes,
 each an independent Hessian estimate on its own stream.  Its ``n_paths`` is
-an accuracy contract rather than a per-node count: a 64-path pilot per node
-(stream key 102, discarded) sizes the nodes by Neyman allocation so that
-the predicted variance equals that of ``n_paths`` paths at every node, with
-fewer path-steps; when the pilot sees no variance every node walks
+an accuracy contract rather than a per-node count: above 64 paths, a
+64-path pilot per node (stream key 102, discarded) sizes the nodes by
+Neyman allocation so that the predicted variance is at most that of
+``n_paths`` paths at every node and the main walks take no more path-steps;
+at 64 paths or fewer, or when the pilot sees no variance, every node walks
 ``n_paths`` paths.
 """
 
@@ -406,17 +407,19 @@ def _neyman_counts(b: np.ndarray, steps: np.ndarray, n_paths: int,
     ``b_i`` is node i's quadrature coefficient times its per-path standard
     deviation.  The counts are scaled so that the predicted variance
     sum b_i^2 / n_i equals that of ``n_paths`` paths at every node, rounded
-    up to even and floored at ``floor``.  By Cauchy-Schwarz the path-steps
-    sum n_i steps_i are then at most n_paths * sum steps_i (up to that
-    rounding).  Without a positive, finite b the rule is ``n_paths``
-    everywhere.
+    up to even and floored at ``floor``.  By Cauchy-Schwarz the unrounded
+    path-steps sum n_i steps_i are at most n_paths * sum steps_i; where the
+    rounding and the floor push them above it, or without a positive,
+    finite b, the rule is ``n_paths`` everywhere.
     """
+    equal = np.full(len(b), n_paths)
     ss = float(np.sum(b * b))
     if not (math.isfinite(ss) and ss > 0.0):
-        return np.full(len(b), n_paths)
+        return equal
     rs = np.sqrt(steps)
     n = n_paths * float(np.sum(b * rs)) / ss * (b / rs)
-    return np.maximum(2 * np.ceil(0.5 * n).astype(int), floor)
+    n = np.maximum(2 * np.ceil(0.5 * n).astype(int), floor)
+    return n if n @ steps <= equal @ steps else equal
 
 
 def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
@@ -438,17 +441,21 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     ``derive_seed(seed, 101, i)``, with a Neyman allocation of paths: node i
     gets n_i proportional to b_i / sqrt(steps_i), where b_i is its absolute
     quadrature coefficient (the head's weight added to node 0's) times the
-    per-path standard deviation from a pilot.  The pilot walks
-    min(64, n_paths) paths over min(steps_i, 16) steps on the separate
-    stream ``derive_seed(seed, 102, i)`` and is then discarded, so the
-    allocation is independent of the samples it weights.  ``n_paths`` is an
-    accuracy contract: the counts give the predicted variance of
-    ``n_paths`` paths at every node, at no more path-steps than that equal
-    rule.  When every pilot deviation is 0 (a deterministic integrand) or
-    none is finite, every node walks ``n_paths`` paths.  The result is a
-    deterministic function of (seed, n_paths, chunk_size, cfg) at any
-    thread count; ``notes`` records the pilot and main path-steps and the
-    node count range.
+    per-path standard deviation from a pilot.  The pilot walks 64 paths
+    over min(steps_i, 16) steps on the separate stream
+    ``derive_seed(seed, 102, i)`` and is then discarded, so the allocation
+    is independent of the samples it weights.  ``n_paths`` is an accuracy
+    contract: the counts, floored at 64 and even, give at most the
+    predicted variance of ``n_paths`` paths at every node, and the main
+    walks take no more path-steps than that equal rule; the pilot adds at
+    most 64 * min(steps_i, 16) path-steps per node.  Every node walks
+    ``n_paths`` paths (the equal rule) when n_paths <= 64, where the floor
+    leaves nothing to save and no pilot runs; when every pilot deviation
+    is 0 (a deterministic integrand) or none is finite; and when the
+    floored counts would cost more path-steps than the equal rule.  The
+    result is a deterministic function of (seed, n_paths, chunk_size, cfg)
+    at any thread count; ``notes`` records the pilot and main path-steps
+    and the node count range.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even path count")
@@ -494,11 +501,16 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
                 seed=derive_seed(seed, stream, i), antithetic=antithetic,
                 chunk_size=chunk_size, threads=threads)
 
-    n_pilot = min(_PILOT_PATHS, n_paths)
-    pilot_steps = np.minimum(steps, _PILOT_STEPS)
-    sd = np.array([node_hess(i, n_pilot, pilot_steps[i], 102).scalar_stderr
-                   for i in range(len(nodes))]) * math.sqrt(n_pilot)
-    counts = _neyman_counts(np.abs(coef) * sd, steps, n_paths, n_pilot)
+    if n_paths > _PILOT_PATHS:
+        pilot_steps = np.minimum(steps, _PILOT_STEPS)
+        sd = np.array([node_hess(i, _PILOT_PATHS, pilot_steps[i], 102).scalar_stderr
+                       for i in range(len(nodes))]) * math.sqrt(_PILOT_PATHS)
+        counts = _neyman_counts(np.abs(coef) * sd, steps, n_paths, _PILOT_PATHS)
+        pilot_cost = _PILOT_PATHS * int(pilot_steps.sum())
+    else:
+        # every floored count would be at least n_paths: nothing to save
+        counts = np.full(len(nodes), n_paths)
+        pilot_cost = 0
     ests = [node_hess(i, counts[i], steps[i], 101) for i in range(len(nodes))]
     noisy_nodes = sum(1 for e in ests if e.notes)
     hvals = np.array([float(np.asarray(e.value)) for e in ests])
@@ -516,7 +528,7 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     stderr = math.sqrt(float(np.sum((coef * hserr) ** 2)))
     qtol = 0.5 * abs(head) + tail + disc
     notes = (f"nodes={cfg.n_nodes} t_min={cfg.t_min:g} t_max={t_max:g} "
-             f"theta={theta:g}; path-steps pilot={n_pilot * int(pilot_steps.sum())} "
+             f"theta={theta:g}; path-steps pilot={pilot_cost} "
              f"main={int(counts @ steps)} equal-rule={n_paths * int(steps.sum())}; "
              f"node paths {int(counts.min())}-{int(counts.max())}")
     if noisy_nodes:

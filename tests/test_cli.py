@@ -208,6 +208,36 @@ v = [1.0, 0.0]
     assert abs(value - exact) <= 3 * stderr
 
 
+@pytest.mark.parametrize("x1, inconclusive", [(0.0, True), (1.2, False)])
+def test_pt_verdict_inconclusive_when_variance_dominated(tmp_path, x1, inconclusive):
+    # P_t sin(x1) = e^{-t} sin(x1) vanishes at x1 = 0, where the plain
+    # (non-antithetic) estimate is noise: stderr > |value|
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"""
+kind = "estimate"
+seed = 3
+n_paths = 400
+h = 0.05
+out_dir = "{out}"
+
+[manifold]
+kind = "torus"
+dim = 2
+
+[estimate]
+op = "pt"
+field = "sin-x1"
+t = 0.5
+antithetic = false
+point = [{x1}, 0.0]
+""")
+    report = run_config(cfg)
+    value, stderr = report.tables["estimate"]["rows"][0][1:3]
+    assert (stderr > abs(value)) is inconclusive
+    assert report.verdicts == [{"check": "estimate-pt", "passed": True,
+                                "inconclusive": inconclusive}]
+
+
 def test_green_hess_verdict_conclusive(tmp_path):
     # Green's notes always carry its provenance; only a variance-dominated
     # estimate makes the verdict inconclusive

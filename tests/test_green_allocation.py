@@ -135,6 +135,36 @@ def test_count_rule_synthetic():
                           np.full(5, 999))
 
 
+def test_count_rule_keeps_equal_rule_when_floor_costs_more():
+    # Neyman gives [79.2, 39.6]; even and floored at 64 that is [80, 64],
+    # more path-steps than 66 at each node
+    n = _neyman_counts(np.array([1.0, 0.5]), np.array([100, 100]), 66, 64)
+    assert np.array_equal(n, [66, 66])
+
+
+@pytest.mark.parametrize("mode, value", [("bismut", "-0x1.fe85e24c897d6p-2"),
+                                         ("mixed", "-0x1.49b989550968ep-3")])
+def test_small_path_count_runs_no_pilot(mode, value):
+    # at n_paths <= 64 every floored count is at least n_paths, so no pilot
+    # runs and every node walks n_paths paths; the values are goldens of
+    # the equal rule from before the allocation
+    m, f, x, v = _s2_case()
+    cfg = HessianEstimatorConfig(sigma=SIGMA, n_nodes=12)
+    calls = []
+
+    def recorder(*args, **kw):
+        calls.append(kw["n_paths"])
+        return estimate_hess(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "estimate_hess", recorder)
+        est = estimate_green_hess(m, f, x, v, v, cfg, n_paths=64, h=0.02,
+                                  seed=13, mode=mode)
+    assert calls == [64] * 12
+    assert est.scalar.hex() == value
+    assert "path-steps pilot=0 " in est.notes
+
+
 @pytest.mark.parametrize("mode", ["bismut", "mixed"])
 def test_count_rule_on_sphere(mode):
     est, calls = _recorded(mode)
