@@ -66,7 +66,7 @@ from .semigroup import (
     estimate_pt,
 )
 from .spectral import random_spherical_polynomials, random_trig_polynomials
-from .transport import q_decay_factor
+from .transport import _grid_steps, q_decay_factor
 from .verify import (
     BoundCheckConfig,
     BoundReport,
@@ -305,13 +305,12 @@ def _find_key_line(text: str, key: str) -> Optional[int]:
 
 def _bound_config(m: ManifoldModel, p: dict, cfg: ExperimentConfig) -> BoundCheckConfig:
     kwargs = {}
-    for key in ("alpha", "beta", "gamma", "sigma", "confidence"):
+    for key in ("alpha", "beta", "gamma"):
         if key in p:
             kwargs[key] = float(p[key])
     kwargs["t_grid"] = _grid_from_spec(p.get("t_grid"), np.linspace(0.01, 4.0, 20))
     kwargs["rho_grid"] = _grid_from_spec(p.get("rho_grid"), np.linspace(0.0, 5.0, 20))
     kwargs["s_grid"] = _grid_from_spec(p.get("s_grid"), np.geomspace(0.05, 2.0, 12))
-    kwargs["n_paths"] = cfg.n_paths
     kwargs["h"] = cfg.h
     if "grid_resolution" in p:
         kwargs["grid_resolution"] = int(p["grid_resolution"])
@@ -442,7 +441,7 @@ def _tangent_from(m: ManifoldModel, x: Point, spec, default_axis=0) -> TangentVe
 def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     t = float(p.get("t", 1.0))
-    n_steps = max(1, int(round(t / cfg.h)))
+    n_steps = _grid_steps(t, cfg.h)
     x0 = np.asarray(_point_from(m, p.get("x0")).coords)
 
     def observe(walk):
@@ -476,7 +475,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
     x = _point_from(m, p.get("point"))
     t = float(p.get("t", 0.5))
     op = p["op"]
-    n_steps = max(2, int(round(t / cfg.h)))
+    n_steps = _grid_steps(t, cfg.h, lo=2)
     h = t / n_steps
     common = dict(n_paths=cfg.n_paths, h=h, seed=cfg.seed,
                   antithetic=bool(p.get("antithetic", True)),

@@ -708,16 +708,16 @@ def _hs_norm_pairs(riemann: np.ndarray, V1: np.ndarray, V2: np.ndarray) -> np.nd
     return np.sqrt(np.sum(M * M, axis=(1, 2)))
 
 
-def _r_opnorm(riemann: np.ndarray, n_dirs: int = 64) -> float:
+def _r_opnorm(riemann: np.ndarray) -> float:
     d = riemann.shape[0]
     if d == 1:
         return 0.0
     if d == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
         rng = np.random.Generator(np.random.Philox(key=0))
-        dirs = rng.standard_normal((n_dirs, d))
+        dirs = rng.standard_normal((64, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = np.concatenate([dirs, np.eye(d)], axis=0)
     P1 = np.repeat(dirs, len(dirs), axis=0)

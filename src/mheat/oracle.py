@@ -200,7 +200,7 @@ def _legendre_triples(c: np.ndarray, coeffs: np.ndarray):
     return s0, s1, s2, abs0
 
 
-def _sphere_coeffs(m: Sphere, t: float, extra_rate: float = 0.0):
+def _sphere_coeffs(m: Sphere, t: float):
     a2 = m.radius ** 2
     if t / a2 < 1e-4:
         raise OracleError(
@@ -492,8 +492,7 @@ def heat_kernel(m: ManifoldModel, x: Point, y: Point, t: float) -> KernelEval:
 # quadrature grids
 
 def quadrature_grid(m: ManifoldModel, resolution: int,
-                    half_width: Optional[float] = None,
-                    cutoff_radius: float = 12.0) -> QuadratureGrid:
+                    half_width: Optional[float] = None) -> QuadratureGrid:
     """Deterministic grid integrating against the Riemannian volume measure.
 
     * torus: uniform product grid, exact for trigonometric polynomials of
@@ -502,8 +501,9 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
       polynomials up to degree 2 * resolution - 1
     * euclidean: Gauss-Legendre box [-L, L]^d with L = half_width
       (caller owns the tail bound for its integrand)
-    * hyperbolic (d = 2): geodesic polar grid with radial cutoff (OracleError
-      when a * cutoff_radius leaves hyperboloid coordinates too inexact)
+    * hyperbolic (d = 2): geodesic polar grid on the ball of fixed radius
+      12 about the base point (OracleError when a * 12 leaves hyperboloid
+      coordinates too inexact)
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -543,7 +543,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
         if m.dim != 2:
             raise OracleError("hyperbolic quadrature implemented for d = 2 only")
         a = m.scale
-        R = float(cutoff_radius)
+        R = 12.0
         # coordinates and their round-off grow like e^{aR}; overflow gives NaN
         # nodes, which fail the defect test, so the OracleError is the signal
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -48,7 +48,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ManifoldModel, Point, ScalarField, TangentVector
-from .transport import ChunkWalk, _check_grid, frame_components, q_decay_factor, w_step
+from .transport import (ChunkWalk, _check_grid, _grid_steps, _vw_components,
+                        frame_components, q_decay_factor, w_step)
 
 __all__ = [
     "McEstimate",
@@ -69,6 +70,8 @@ DEFAULT_CHUNK = 4096
 # Green pilot per quadrature node: paths and maximum steps
 _PILOT_PATHS = 64
 _PILOT_STEPS = 16
+# the default Green t_max puts the tail weight e^{-rate t_max} at this level
+_TAIL_TARGET = 1e-6
 
 
 def default_theta(m: ManifoldModel) -> float:
@@ -113,7 +116,6 @@ class HessianEstimatorConfig:
     t_min: float = 1e-3
     t_max: Optional[float] = None
     n_nodes: int = 40
-    tail_target: float = 1e-6
     kdot: Callable[[float, float], float] = field(default=default_kdot)
     ldot: Callable[[float, float], float] = field(default=default_ldot)
 
@@ -125,9 +127,9 @@ class HessianEstimatorConfig:
         if not (0 < self.t_min):
             raise ValueError("t_min must be positive")
 
-    def validate_profiles(self, t: float, n_check: int = 64) -> None:
-        s = np.linspace(0.0, t, n_check, endpoint=False)
-        h = t / n_check
+    def validate_profiles(self, t: float) -> None:
+        s = np.linspace(0.0, t, 64, endpoint=False)
+        h = t / 64
         kint = sum(self.kdot(float(si), t) for si in s) * h
         lint = sum(self.ldot(float(si), t) for si in s) * h
         if abs(kint + 1.0) > 0.05 or abs(lint + 1.0) > 0.05:
@@ -263,16 +265,6 @@ def _walk_moments(*args, **kw) -> RunningMoments:
     for values in _walk_chunks(*args, **kw):
         acc.update_batch(values)
     return acc
-
-
-def _vw_components(m: ManifoldModel, x: Point, v: TangentVector,
-                   w: Optional[TangentVector] = None):
-    F0 = m.frame(np.asarray(x.coords)[None, :])[0] * m.metric_sign()[None, :]
-    vbar = F0 @ np.asarray(v.comps)
-    if w is None:
-        return vbar, None
-    wbar = F0 @ np.asarray(w.comps)
-    return vbar, wbar
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +462,11 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
         t_max = cfg.t_max if cfg.t_max is not None else 20.0 / sigma
     else:
         t_max = cfg.t_max if cfg.t_max is not None else \
-            max(2.0 * cfg.t_min, math.log(1.0 / cfg.tail_target) / rate)
+            max(2.0 * cfg.t_min, math.log(1.0 / _TAIL_TARGET) / rate)
     if mode is None:
         mode = "mixed" if f.has_oracles else "bismut"
     nodes = np.geomspace(cfg.t_min, t_max, cfg.n_nodes)
-    steps = np.clip(np.round(nodes / h), 8, 200000).astype(int)
+    steps = np.array([_grid_steps(float(tn), h, 8, 200000) for tn in nodes])
     u = np.log(nodes)
 
     def trapz_weights(uu):

@@ -124,7 +124,7 @@ def random_trig_polynomials(m: Torus, degree: int, count: int,
     return out
 
 
-def torus_bochner_residual(u: TrigPolynomial, grid_res: int = 64) -> float:
+def torus_bochner_residual(u: TrigPolynomial) -> float:
     """Max-node residual of the curvature-free Bochner identity.
 
     -(1/2) Lap |grad u|^2 = |Hess u|_HS^2 - <grad Lap u, grad u>, with the
@@ -133,7 +133,7 @@ def torus_bochner_residual(u: TrigPolynomial, grid_res: int = 64) -> float:
     d = u.dim
     if d != 2:
         raise ValueError("FFT residual implemented for the 2-torus")
-    n = grid_res
+    n = 64
     ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     XX, YY = np.meshgrid(ax, ax, indexing="ij")
     X = np.stack([XX.ravel(), YY.ravel()], axis=1)

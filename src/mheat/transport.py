@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -191,14 +192,13 @@ class ChunkWalk:
     def increments(self) -> np.ndarray:
         return self._inc.transpose(2, 0, 1)
 
-    def step(self, k: int) -> np.ndarray:
-        """Advance every path by step k; returns the increments used."""
+    def step(self, k: int) -> None:
+        """Advance every path by step k."""
         self._P, self._F = self.m.walk_step(self._P, self._F, self._inc[k])
         if not np.all(np.isfinite(self._P)):
             bad = int(np.argmax(~np.all(np.isfinite(self._P), axis=0)))
             raise FloatingPointError(
                 f"path diverged at step {k} (chunk-local index {bad})")
-        return self._inc[k].T
 
     def steps(self):
         """Yield (k, increments) with the walk state at the left node; the
@@ -223,6 +223,16 @@ def _check_grid(t: float, h: float) -> int:
     if abs(n - n_round) > 1e-9 * max(1.0, n):
         raise ValueError(f"t/h = {n} is not an integer number of steps")
     return int(n_round)
+
+
+def _grid_steps(t: float, h: float, lo: int = 1, hi: Optional[int] = None) -> int:
+    """Step count of a walk over [0, t] at step about h: round(t / h), ties
+    to even, clipped to [lo, hi].  Unlike :func:`_check_grid`, t need not
+    be a multiple of h; the caller walks at step t / n."""
+    if not (0 < t < math.inf and 0 < h < math.inf):
+        raise ValueError("time horizon t and step h must be positive and finite")
+    n = max(lo, round(t / h))
+    return n if hi is None else min(n, hi)
 
 
 def sample_path(m: ManifoldModel, x0: Point, t: float, h: float,
@@ -332,10 +342,7 @@ def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
     d = m.dim
     n = path.n_steps
     h = path.step
-    F0 = path.frames[0]
-    sgn = m.metric_sign()
-    vbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(v.comps))
-    wbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(w.comps))
+    vbar, wbar = _vw_components(m, Point(path.points[0]), v, w)
     damp = math.exp(-h * (d - 1) * m.sectional_curvature)
     out = np.zeros((n + 1, d))
     W = np.zeros((d, 1))
@@ -355,10 +362,7 @@ def w_process_generic(m: ManifoldModel, path: PathRecord, q: np.ndarray,
     pkg = curvature_package(m, x0, OrthonormalFrame(x0, path.frames[0]))
     drift3 = pkg.dstar_r + pkg.ricci_sharp_grad
     damp = expm(-h * pkg.ricci)
-    sgn = m.metric_sign()
-    F0 = path.frames[0]
-    vbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(v.comps))
-    wbar = np.einsum("da,a->d", F0 * sgn[None, :], np.asarray(w.comps))
+    vbar, wbar = _vw_components(m, x0, v, w)
     out = np.zeros((n + 1, d))
     W = np.zeros(d)
     for k in range(n):
@@ -375,3 +379,14 @@ def frame_components(m: ManifoldModel, frames: np.ndarray,
     """Components of ambient tangent vectors in given frames, batched."""
     sgn = m.metric_sign()
     return np.einsum("nda,na->nd", frames * sgn[None, None, :], ambient_vecs)
+
+
+def _vw_components(m: ManifoldModel, x: Point, v: TangentVector,
+                   w: Optional[TangentVector] = None):
+    """Components of v (and w) in the frame at x; (vbar, None) without w."""
+    F0 = m.frame(np.asarray(x.coords)[None, :])[0] * m.metric_sign()[None, :]
+    vbar = F0 @ np.asarray(v.comps)
+    if w is None:
+        return vbar, None
+    wbar = F0 @ np.asarray(w.comps)
+    return vbar, wbar

@@ -56,7 +56,7 @@ from .spectral import (
     sphere_bochner_residual,
     torus_bochner_residual,
 )
-from .transport import frame_components, q_decay_factor, w_step
+from .transport import _grid_steps, frame_components, q_decay_factor, w_step
 
 __all__ = [
     "BoundCheckConfig",
@@ -75,6 +75,8 @@ MIN_STAT_PATHS = 1000
 # depend on the thread count
 SEMIGROUP_CHUNK = 8192
 KATO_CHUNK = 16384
+# the statistical checks allow 3 standard errors of slack
+_SLACK_NOTE = "confidence=0.997 (3-sigma slack)"
 
 
 @dataclass
@@ -90,12 +92,9 @@ class BoundCheckConfig:
     alpha: float = 0.2
     beta: Optional[float] = None
     gamma: Optional[float] = None
-    sigma: float = 1.0
-    confidence: float = 0.997
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.01, 4.0, 20))
     rho_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 5.0, 20))
     s_grid: np.ndarray = field(default_factory=lambda: np.geomspace(0.05, 2.0, 12))
-    n_paths: int = 10000
     h: float = 0.005
     grid_resolution: int = 48
 
@@ -110,8 +109,6 @@ class BoundCheckConfig:
         if not (0.0 < self.beta < 2.0 * self.alpha):
             raise ValueError(
                 f"beta = {self.beta} violates beta < 2*alpha (alpha = {self.alpha})")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         self.rho_grid = np.asarray(self.rho_grid, dtype=float)
         self.s_grid = np.asarray(self.s_grid, dtype=float)
@@ -506,7 +503,7 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
                        threads: Optional[int] = None):
     """Shared-path estimates of Hess P_t f and the domination ingredients."""
     d = m.dim
-    n_steps = max(2, int(round(t / h)))
+    n_steps = _grid_steps(t, h, lo=2)
     hh = t / n_steps
     damp = math.exp(-hh * (d - 1) * m.sectional_curvature)
     x0 = np.asarray(x.coords)
@@ -577,19 +574,19 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
                            cfg: BoundCheckConfig, n_paths: int, seed: int,
                            x_list: Optional[Sequence[Point]] = None,
                            t_list: Optional[Sequence[float]] = None,
-                           lp_grid_resolution: Optional[int] = None,
                            include_lp: bool = True,
                            threads: Optional[int] = None):
     """Three checks on Hess P_t f: the pointwise growth bound, its L^p-norm
     version, and the domination by (P_t |Hess f|^2)^{1/2} plus a gradient
     term weighted by the measured W moment.
 
-    ``include_lp=False`` skips the norm report (b), whose per-node cost is
-    high on models without a fast kernel; its report is then returned empty
-    and marked not passed with an explanatory note.
+    Each (t, x) sample walks round(t / cfg.h) steps, at least 2, at step
+    t / n.  The norm report (b) integrates over :func:`quadrature_grid` at
+    resolution 12 on H^2, where each node is a Monte Carlo estimate, and 32
+    on the other models.  ``include_lp=False`` skips (b), whose per-node
+    cost is high on models without a fast kernel; its report is then
+    returned empty and marked not passed with an explanatory note.
     """
-    if lp_grid_resolution is None:
-        lp_grid_resolution = 12 if m.kind == "hyperbolic" else 32
     if n_paths < MIN_STAT_PATHS:
         raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
     if not f.has_oracles:
@@ -636,7 +633,7 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     have_grid = False
     if include_lp:
         try:
-            grid = quadrature_grid(m, lp_grid_resolution)
+            grid = quadrature_grid(m, 12 if m.kind == "hyperbolic" else 32)
             have_grid = True
         except OracleError:
             have_grid = False
@@ -657,15 +654,14 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     passed_b = bool(rows_b) and all(math.isfinite(r["ratio"]) for r in rows_b)
     conclusive = [r for r in rows_c if r["reliable"]]
     passed_c = all(r["passed"] for r in conclusive) and bool(conclusive)
-    ci = f"confidence={cfg.confidence:g} (3-sigma slack)"
     rep_a = BoundReport("semigroup-hessian-growth", rows_a, const_a, passed_a,
-                        notes=f"theta={theta:g}; {ci}")
+                        notes=f"theta={theta:g}; {_SLACK_NOTE}")
     rep_b = BoundReport("semigroup-hessian-lp", rows_b, const_b, passed_b,
                         notes="p=2" if include_lp else "skipped (include_lp=False)")
     rep_c = BoundReport("hessian-domination", rows_c,
                         max((r["fitted_C"] for r in rows_c), default=0.0),
                         passed_c,
-                        notes=f"RHS uses the measured sup E|W(v,w)|^2; {ci}")
+                        notes=f"RHS uses the measured sup E|W(v,w)|^2; {_SLACK_NOTE}")
     return rep_a, rep_b, rep_c
 
 
@@ -708,7 +704,7 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
     t_max = t_list[-1]
     if h is None:
         h = t_max / 200.0
-    n_steps = int(round(t_max / h))
+    n_steps = _grid_steps(t_max, h)
     h = t_max / n_steps
     marks = []
     for t in t_list:
@@ -770,7 +766,7 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
     for r in table:
         r["provenance"] = f"monte-carlo({r['functional_se']:.3g})"
     return KatoResult(table, c_fit, theta_fit, nondec, vanishes,
-                      notes="confidence=0.997 (3-sigma slack)")
+                      notes=_SLACK_NOTE)
 
 
 def _kato_snapshots(walk, potential, marks):
@@ -799,7 +795,7 @@ def _spectral_family_check(family) -> str:
     if all(isinstance(u, SphericalPolynomial) for u in family):
         return "sphere"
     raise ValueError(
-        "exact_spectral mode needs a family of band-limited spectral fields")
+        "cz_scan needs a family of band-limited spectral fields")
 
 
 def _torus_scan_arrays(family, grid: QuadratureGrid, sigma: float):
@@ -842,10 +838,8 @@ def _sphere_scan_arrays(family, grid: QuadratureGrid, m: Sphere, sigma: float):
 
 
 def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
-            mode: str = "exact_spectral",
             family_sizes: Optional[Sequence[int]] = None,
-            grid_resolution: Optional[int] = None,
-            bochner_samples: int = 5) -> BoundReport:
+            grid_resolution: Optional[int] = None) -> BoundReport:
     """Hessian-vs-Laplacian norm ratios and resolvent ratios over a family.
 
     For each field f the scan computes u = (Delta + sigma)^{-1} f exactly
@@ -860,16 +854,14 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
     verifies the curvature-corrected L2 inequality
     ||Hess u||_2^2 <= (K eps^2 / 2) ||u||_2^2 + (1 + K / (2 eps^2)) ||Delta u||_2^2
     (with K = 0 on these models and eps = 1) and checks the pointwise
-    Bochner identity residual on a sample of the family.
+    Bochner identity residual on the first 5 fields of the family.
+
+    The scan is exact spectral only: the family must be band-limited
+    trigonometric polynomials on a torus or spherical polynomials on the
+    unit 2-sphere.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if mode not in ("exact_spectral", "mc"):
-        raise ValueError("mode must be 'exact_spectral' or 'mc'")
-    if mode == "mc":
-        raise NotImplementedError(
-            "mc-mode CZ scans go through estimate_green_hess pointwise; "
-            "use exact_spectral on the torus or unit sphere")
     kind = _spectral_family_check(family)
     if kind == "torus" and not isinstance(m, Torus):
         raise ValueError("torus family needs a torus model")
@@ -930,7 +922,7 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
             running_max.append((i + 1, max_so_far))
     bochner_max = 0.0
     if p == 2.0:
-        for u in list(family)[:bochner_samples]:
+        for u in list(family)[:5]:
             if kind == "torus":
                 bochner_max = max(bochner_max, torus_bochner_residual(u))
             else:

@@ -295,6 +295,40 @@ t = 0.5
     assert stats["damped_transport_norm"] == pytest.approx(math.exp(-0.5))
 
 
+SHORT_HORIZON_CFG = """
+kind = "{kind}"
+seed = {seed}
+n_paths = 64
+h = 0.25
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+radius = 1.0
+
+[{kind}]
+t = 0.1
+{extra}
+"""
+
+
+@pytest.mark.parametrize("kind, seed, extra, table, expected", [
+    # t / h = 0.4: simulate walks one step, estimate two (at h = t / 2)
+    ("simulate", 9, "", "simulate",
+     ("0x1.99bf7eed0ee79p-2", "0x1.5329e8dc6f8f7p-5")),
+    ("estimate", 3, 'op = "pt"\nfield = "coord-z"', "estimate",
+     ("0x1.a5a65f6f11b4dp-1", "0x1.ed762af6cb1dep-6")),
+])
+def test_short_horizon_step_floor_golden(tmp_path, kind, seed, extra, table,
+                                         expected):
+    cfg = write(tmp_path, SHORT_HORIZON_CFG.format(
+        kind=kind, seed=seed, extra=extra, out=tmp_path / "out"))
+    report = run_config(cfg)
+    value, stderr = report.tables[table]["rows"][0][1:3]
+    assert (float(value).hex(), float(stderr).hex()) == expected
+
+
 def test_gnuplot_series_emitted(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path, KERNEL_CFG.format(out=out))

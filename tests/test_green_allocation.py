@@ -221,3 +221,14 @@ def test_odd_path_count_rejected_with_antithetic():
     with pytest.raises(ValueError, match="even path count"):
         estimate_green_hess(m, f, x, v, v, HessianEstimatorConfig(sigma=SIGMA),
                             n_paths=2001, h=H, seed=SEED)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01])
+def test_nonpositive_step_rejected(h):
+    # the node rule clips round(t / h) to [8, 200000]; a step h <= 0 must be
+    # an error, not 8 or 200000 steps at every node
+    m, f, x, v = _s2_case()
+    with pytest.raises(ValueError, match="step h"):
+        estimate_green_hess(m, f, x, v, v,
+                            HessianEstimatorConfig(sigma=SIGMA, n_nodes=4),
+                            n_paths=4, h=h, seed=SEED)

@@ -351,3 +351,23 @@ def test_chunk_walk_built_only_in_path_layer():
                 if name == "ChunkWalk":
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == allowed
+
+
+def test_step_count_rule_only_in_transport():
+    # round(a / b) turns a horizon and a step into a step count; outside
+    # transport only Kato's mark check, which maps mark times to indices
+    allowed = {("transport", "_grid_steps"), ("verify", "kato_functional")}
+    found = set()
+    for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and node.args
+                        and isinstance(node.args[0], ast.BinOp)
+                        and isinstance(node.args[0].op, ast.Div)):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "round":
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == allowed

@@ -16,6 +16,7 @@ from mheat.geometry import (
 from mheat.semigroup import _walk_chunks
 from mheat.transport import (
     ChunkWalk,
+    _grid_steps,
     damped_transport,
     damped_transport_generic,
     increment_block,
@@ -65,6 +66,29 @@ def test_sample_path_rejects_non_integer_grid():
     m = Euclidean(1)
     with pytest.raises(ValueError):
         sample_path(m, base(m), 1.0, 0.3, seed=0, path_index=0)
+
+
+@pytest.mark.parametrize("t, h, lo, hi, n", [
+    (2.5, 1.0, 0, None, 2),     # ties round half to even, as round() does
+    (3.5, 1.0, 0, None, 4),
+    (0.5, 1.0, 0, None, 0),
+    (0.4, 1.0, 1, None, 1),     # the floor
+    (0.1, 0.25, 2, None, 2),
+    (0.05, 0.01, 8, 200000, 8),
+    (30.0, 0.0001, 8, 200000, 200000),  # the cap
+    (1.0, 0.003, 1, None, 333),
+])
+def test_grid_steps_rounds_and_clips(t, h, lo, hi, n):
+    assert _grid_steps(t, h, lo, hi) == n
+
+
+@pytest.mark.parametrize("t, h", [
+    (0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+    (1.0, 0.0), (1.0, -0.01), (1.0, math.nan), (1.0, math.inf),
+])
+def test_grid_steps_rejects_bad_horizon_or_step(t, h):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        _grid_steps(t, h)
 
 
 # ---------------------------------------------------------------------------

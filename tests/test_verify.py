@@ -207,6 +207,15 @@ def test_semigroup_bounds_needs_paths():
         check_semigroup_bounds(m, f, cfg, n_paths=100, seed=1)
 
 
+def test_semigroup_bounds_rejects_nonpositive_step():
+    m = Euclidean(2)
+    f = square_coordinate_field(m)
+    cfg = BoundCheckConfig(alpha=0.2, h=-0.01)
+    with pytest.raises(ValueError, match="step h"):
+        check_semigroup_bounds(m, f, cfg, n_paths=1000, seed=5,
+                               x_list=[Point([0.0, 0.0])], t_list=[0.25])
+
+
 # ---------------------------------------------------------------------------
 # Kato functionals
 
@@ -245,6 +254,14 @@ def test_kato_curvature_potential_sphere():
     assert res.theta_fit == pytest.approx(1.0, rel=1e-9)
     zero = ric_grad_squared_potential(m)
     assert zero.eval(Point(m.base_point())) == 0.0
+
+
+def test_kato_step_longer_than_horizon_walks_one_step():
+    # round(t / h) = 0 is floored at one step, as in simulate
+    m = Sphere(2, 1.0)
+    res = kato_functional(m, const_field(m, 0.7), [0.0, 0.1],
+                          [Point(m.base_point())], n_paths=1000, seed=3, h=0.3)
+    assert res.rows[1]["functional"] == pytest.approx(0.07, rel=1e-12)
 
 
 def test_kato_superadditivity_constants():
@@ -293,7 +310,5 @@ def test_cz_scan_rejects_bad_input():
     fam = random_trig_polynomials(m, 4, 4, rng())
     with pytest.raises(ValueError, match="p must exceed"):
         cz_scan(m, fam, p=1.0, sigma=1.0)
-    with pytest.raises(NotImplementedError):
-        cz_scan(m, fam, p=2.0, sigma=1.0, mode="mc")
     with pytest.raises(ValueError):
         cz_scan(Sphere(2, 1.0), fam, p=2.0, sigma=1.0)
