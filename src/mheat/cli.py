@@ -70,6 +70,7 @@ from .transport import _grid_steps, q_decay_factor
 from .verify import (
     BoundCheckConfig,
     BoundReport,
+    _kato_grid,
     check_gaffney,
     check_kernel_bounds,
     check_semigroup_bounds,
@@ -327,6 +328,8 @@ def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
         _bound_config(m, p, cfg)
         if check == "gaffney" and float(p.get("p", 2.0)) < 2:
             raise ValueError("p must be >= 2 for the gaffney check")
+        if check == "kato":
+            _kato_grid(_kato_t_list(p), cfg.h)
     elif cfg.kind == "estimate":
         op = p.get("op")
         if op not in ("pt", "grad", "hess", "green-hess"):
@@ -347,6 +350,10 @@ def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
     elif cfg.kind == "simulate":
         if float(p.get("t", 1.0)) <= 0:
             raise ValueError("t must be positive")
+
+
+def _kato_t_list(p: dict) -> list:
+    return [float(t) for t in p.get("t_list", [0.1 * k for k in range(1, 11)])]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +482,8 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
     x = _point_from(m, p.get("point"))
     t = float(p.get("t", 0.5))
     op = p["op"]
-    n_steps = _grid_steps(t, cfg.h, lo=2)
-    h = t / n_steps
+    # Green walks each of its quadrature nodes on the grid of step h itself
+    h = cfg.h if op == "green-hess" else t / _grid_steps(t, cfg.h, lo=2)
     common = dict(n_paths=cfg.n_paths, h=h, seed=cfg.seed,
                   antithetic=bool(p.get("antithetic", True)),
                   threads=cfg.threads)
@@ -532,10 +539,9 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
     elif check == "kato":
         name = p.get("potential", "const")
         pot = make_potential(m, name, p.get("potential_params"))
-        t_list = [float(t) for t in p.get("t_list",
-                                          [0.1 * k for k in range(1, 11)])]
-        res = kato_functional(m, pot, t_list, [_point_from(m, p.get("point"))],
-                              n_paths=cfg.n_paths, seed=cfg.seed,
+        res = kato_functional(m, pot, _kato_t_list(p),
+                              [_point_from(m, p.get("point"))],
+                              n_paths=cfg.n_paths, seed=cfg.seed, h=cfg.h,
                               threads=cfg.threads)
         cols = ["t", "functional", "functional_se", "expmom", "expmom_se",
                 "dropped", "provenance"]

@@ -15,14 +15,13 @@ Implemented kernels:
   ambient pairing u = <x, y>
 * hyperbolic d = 3: elementary closed form
 * hyperbolic d = 2: fixed-rule quadrature of the classical integral
-  representation; spatial/time derivatives by Richardson finite differences
-  through the exact exponential map
+  representation; rho and t derivatives by Richardson finite differences
 
-The euclidean, torus and sphere kernels share one core per model, evaluated
-on broadcast (x, y) pairs with an ambient Hessian.  ``kernel_on_grid``
-contracts it with the frame at each x; ``kernel_hess_quadrature`` sums it
-over many sources y in blocked pair batches before contracting, which turns
-a kernel quadrature sum_j c_j Hess_x p_t(x, y_j) into one blocked pass.
+Each model has one kernel core, evaluated on broadcast (x, y) pairs with an
+ambient Hessian.  ``kernel_on_grid`` contracts it with the frame at each x;
+``kernel_hess_quadrature`` sums it over many sources y in blocked pair
+batches before contracting, which turns a kernel quadrature
+sum_j c_j Hess_x p_t(x, y_j) into one blocked pass.
 """
 
 from __future__ import annotations
@@ -99,11 +98,11 @@ class QuadratureGrid:
 # ---------------------------------------------------------------------------
 # per-model kernel cores
 #
-# The Euclidean, torus and sphere cores take broadcast (x, y) pairs, arrays
-# of shape (..., ambient), and return the kernel fields with the Hessian as
-# an ambient (..., ambient, ambient) matrix; callers contract it with tangent
-# frames.  ``full=False`` returns only the Hessian (and the sphere's
-# reliability flag), which is all the source-batched quadrature needs.
+# Each core takes broadcast (x, y) pairs, arrays of shape (..., ambient),
+# and returns the kernel fields with the Hessian as an ambient
+# (..., ambient, ambient) matrix; callers contract it with tangent frames.
+# ``full=False`` returns only the Hessian (and the sphere's reliability
+# flag), which is all the source-batched quadrature needs.
 
 def _euclidean_fields(m: Euclidean, X, Y, t, full=True):
     d = m.dim
@@ -271,6 +270,8 @@ def _h3_core(rho: np.ndarray, t: float):
 
 _H2_PANELS = 6
 _H2_NODES = 40
+# rho values per pass of the rule; its (rows, nodes) temporaries stay near 1 MB
+_H2_ROWS = 4096
 
 
 def _h2_core_p(rho: np.ndarray, t: float) -> np.ndarray:
@@ -286,109 +287,103 @@ def _h2_core_p(rho: np.ndarray, t: float) -> np.ndarray:
     nodes, weights = leggauss(_H2_NODES)
     total = np.zeros_like(rho)
     edges = np.linspace(0.0, umax, _H2_PANELS + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        w = 0.5 * (hi - lo) * weights
-        s = rho[:, None] + u[None, :] ** 2
-        diff = np.cosh(s) - np.cosh(rho)[:, None]
-        # cosh(rho + u^2) - cosh(rho), stable for small u
-        tiny = diff < 1e-13
-        safe = np.where(tiny, 1.0, diff)
-        expand = (np.sinh(rho)[:, None] * u[None, :] ** 2
-                  + 0.5 * np.cosh(rho)[:, None] * u[None, :] ** 4)
-        root = np.sqrt(np.where(tiny, np.maximum(expand, 1e-300), safe))
-        integrand = 2.0 * u[None, :] * s * np.exp(-s ** 2 / (4.0 * t)) / root
-        total += integrand @ w
+    for i0 in range(0, len(rho), _H2_ROWS):
+        r = rho[i0:i0 + _H2_ROWS]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            u = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+            w = 0.5 * (hi - lo) * weights
+            s = r[:, None] + u[None, :] ** 2
+            diff = np.cosh(s) - np.cosh(r)[:, None]
+            # cosh(rho + u^2) - cosh(rho), stable for small u
+            tiny = diff < 1e-13
+            safe = np.where(tiny, 1.0, diff)
+            expand = (np.sinh(r)[:, None] * u[None, :] ** 2
+                      + 0.5 * np.cosh(r)[:, None] * u[None, :] ** 4)
+            root = np.sqrt(np.where(tiny, np.maximum(expand, 1e-300), safe))
+            integrand = 2.0 * u[None, :] * s * np.exp(-s ** 2 / (4.0 * t)) / root
+            total[i0:i0 + _H2_ROWS] += integrand @ w
     pref = math.sqrt(2.0) * (4.0 * math.pi * t) ** (-1.5) * math.exp(-t / 4.0)
     return pref * total
 
 
-def _hyperbolic_p(m: Hyperbolic, rho: np.ndarray, t: float) -> np.ndarray:
-    a = m.scale
-    if m.dim == 3:
-        return a ** 3 * _h3_core(a * np.asarray(rho), a * a * t)[0]
-    if m.dim == 2:
-        return a ** 2 * _h2_core_p(a * np.asarray(rho), a * a * t)
-    raise OracleError("hyperbolic kernel oracle implemented for d in {2, 3}")
+def _hyperbolic_radial(m: Hyperbolic, rho: np.ndarray, t: float, full=True):
+    """p, p', p'' in rho and dp/dt of the H^d kernel (``dp_dt`` is None when
+    ``full`` is false), scaled from the unit-curvature cores.
 
-
-def _h3_fields(m: Hyperbolic, X, y, t, frames):
-    a = m.scale
-    rho = m.distance(X, np.broadcast_to(y, X.shape))
-    p1, dp1, d2p1, pt1 = _h3_core(a * rho, a * a * t)
-    p = a ** 3 * p1
-    dp = a ** 4 * dp1
-    d2p = a ** 5 * d2p1
-    pt = a ** 5 * pt1
-    return _radial_assemble(m, X, y, rho, p, dp, d2p, pt, frames)
-
-
-def _radial_assemble(m: Hyperbolic, X, y, rho, p, dp, d2p, pt, frames):
-    """Gradient/Hessian of a radial function from rho-derivatives.
-
-    Hess = p'' drho (x) drho + p' * a coth(a rho) (g - drho (x) drho) on a
-    space of curvature -a^2; the rho -> 0 limit is p'' g.
+    H^3 uses the closed form; H^2 differentiates ``_h2_core_p`` by Richardson
+    central differences, in rho at steps 1e-3 and 5e-4 (below rho = 1e-3,
+    the even expansion about 0) and in t at 1e-3 * max(t, 0.1) and half
+    that.
     """
     a = m.scale
-    d = m.dim
-    Y = np.broadcast_to(y, X.shape)
-    L = m.log(X, Y)  # points toward y, length rho
+    if m.dim == 3:
+        p, dp, d2p, pt = _h3_core(a * rho, a * a * t)
+        return a ** 3 * p, a ** 4 * dp, a ** 5 * d2p, a ** 5 * pt
+    if m.dim != 2:
+        raise OracleError("hyperbolic kernel oracle implemented for d in {2, 3}")
+
+    def pfun(r, s=t):
+        return a ** 2 * _h2_core_p(a * r.ravel(), a * a * s).reshape(r.shape)
+
+    hr = 1e-3
+    p = pfun(rho)
+    # |.| keeps the radii below hr, whose differences are replaced below,
+    # nonnegative
+    fwd = {h: pfun(rho + h) for h in (hr, hr / 2)}
+    bwd = {h: pfun(np.abs(rho - h)) for h in (hr, hr / 2)}
+
+    def richardson(rule, step):
+        return (4.0 * rule(step / 2) - rule(step)) / 3.0
+
+    dp = richardson(lambda h: (fwd[h] - bwd[h]) / (2 * h), hr)
+    d2p = richardson(lambda h: (fwd[h] - 2 * p + bwd[h]) / h ** 2, hr)
+    # the fixed rule is not smooth in rho near 0, which these differences
+    # amplify, so below hr take the even expansion p' = p''(0) rho, p'' = p''(0)
+    zero = np.zeros(1)
+    d2p0 = richardson(lambda h: 2.0 * (pfun(zero + h) - pfun(zero)) / h ** 2, hr)
+    near = rho < hr
+    dp = np.where(near, d2p0 * rho, dp)
+    d2p = np.where(near, d2p0, d2p)
+    if not full:
+        return p, dp, d2p, None
+    pt = richardson(lambda h: (pfun(rho, t + h) - pfun(rho, t - h)) / (2 * h),
+                    1e-3 * max(t, 0.1))
+    return p, dp, d2p, pt
+
+
+def _hyperbolic_fields(m: Hyperbolic, X, Y, t, full=True):
+    a = m.scale
+    # W = y - (y_t / x_t) x with its time coordinate zeroed has the tangent
+    # part of y at x and a Euclidean norm of at most that part's length,
+    # sinh(a rho) / a; so W W^T contracts with the O(|x|) frames of far
+    # points without the cancellation that y y^T meets there
+    W = Y - (Y[..., -1:] / X[..., -1:]) * X
+    W[..., -1] = 0.0
+    k = np.sum(W * X, axis=-1)  # <W, x>_L
+    tau = np.sqrt(np.sum(W * W, axis=-1) + (a * k) ** 2)  # sinh(a rho) / a
+    rho = np.arcsinh(a * tau) / a
+    p, dp, d2p, pt = _hyperbolic_radial(m, rho, t, full)
+    # Hess = p'' drho drho + a coth(a rho) p' (g - drho drho) with
+    # drho = -(W + a^2 k x) / tau; a tangent frame F has F S x = 0,
+    # F S W = F W and F S F^T = I, so the ambient form below contracts to
+    # it.  At rho -> 0 it tends to p'' g.
     small = rho < 1e-8
-    r = np.where(small, 1.0, rho)
-    dir_away = -L / r[:, None]  # unit grad of rho
-    grad = dp[:, None] * dir_away
-    drho = np.einsum("nda,na->nd",
-                     frames * m.metric_sign()[None, None, :], dir_away)
-    eye = np.eye(d)
-    coth = a / np.tanh(a * r)
-    proj = eye[None, :, :] - drho[:, :, None] * drho[:, None, :]
-    hess = (d2p[:, None, None] * drho[:, :, None] * drho[:, None, :]
-            + (dp * coth)[:, None, None] * proj)
-    hess = np.where(small[:, None, None],
-                    d2p[:, None, None] * eye[None, :, :], hess)
-    grad = np.where(small[:, None], 0.0, grad)
-    lap_geo = np.einsum("nii->n", hess)
+    s = np.where(small, 1.0, tau)
+    coth = np.sqrt(1.0 + (a * s) ** 2) / s  # a coth(a rho)
+    radial = np.where(small, 0.0, (d2p - coth * dp) / s ** 2)
+    tangential = np.where(small, d2p, coth * dp)
+    hess = (radial[..., None, None] * W[..., :, None] * W[..., None, :]
+            + tangential[..., None, None] * np.diag(m.metric_sign()))
+    if not full:
+        return {"hess": hess}
+    slope = np.where(small, 0.0, -dp / s)
+    grad = slope[..., None] * (W + (a * a * k)[..., None] * X)
+    lap_geo = d2p + (m.dim - 1) * tangential
     return {"p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo, "hess": hess}
 
 
-def _h2_fields(m: Hyperbolic, X, y, t, frames):
-    """H^2 kernel with FD derivatives (Richardson) of the radial core."""
-    a = m.scale
-
-    def pfun(r):
-        return a ** 2 * _h2_core_p(a * r, a * a * t)
-
-    rho = m.distance(X, np.broadcast_to(y, X.shape))
-    p = pfun(rho)
-    # radial first/second derivatives; even extension across rho = 0
-    hr = 1e-3
-
-    def d1(r):
-        def slope(delta):
-            return (pfun(np.abs(r + delta)) - pfun(np.abs(r - delta))) / (2 * delta)
-        return (4.0 * slope(hr / 2) - slope(hr)) / 3.0
-
-    def d2(r):
-        def curv(delta):
-            return (pfun(np.abs(r + delta)) - 2 * pfun(r) + pfun(np.abs(r - delta))) / delta ** 2
-        return (4.0 * curv(hr / 2) - curv(hr)) / 3.0
-
-    # odd symmetry: p'(0) = 0; the |.| reflection realizes the even extension
-    dp = d1(rho)
-    dp = np.where(rho < hr, dp * (rho / hr), dp)  # taper through the kink
-    d2p = d2(rho)
-    ht = 1e-3 * max(t, 0.1)
-
-    def tslope(delta):
-        return (a ** 2 * _h2_core_p(a * rho, a * a * (t + delta))
-                - a ** 2 * _h2_core_p(a * rho, a * a * (t - delta))) / (2 * delta)
-
-    pt = (4.0 * tslope(ht / 2) - tslope(ht)) / 3.0
-    return _radial_assemble(m, X, y, rho, p, dp, d2p, pt, frames)
-
-
 _AMBIENT_CORES = ((Euclidean, _euclidean_fields), (Torus, _torus_fields),
-                  (Sphere, _sphere_fields))
+                  (Sphere, _sphere_fields), (Hyperbolic, _hyperbolic_fields))
 
 # at most this many (x, y) pairs per block of the source-batched quadrature;
 # the per-pair temporaries of one block then stay within a few MB
@@ -399,7 +394,7 @@ def _ambient_core(m: ManifoldModel):
     for cls, core in _AMBIENT_CORES:
         if isinstance(m, cls):
             return core
-    return None
+    raise OracleError(f"no kernel oracle for {m.describe()}")
 
 
 def _frame_contract(frames: np.ndarray, hess_amb: np.ndarray) -> np.ndarray:
@@ -415,17 +410,9 @@ def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,
     y = np.asarray(y, dtype=float)
     if frames is None:
         frames = m.frame(X)
-    core = _ambient_core(m)
-    if core is not None:
-        out = core(m, X, y[None, :], t)
-        out["hess"] = _frame_contract(frames, out["hess"])
-        return out
-    if isinstance(m, Hyperbolic):
-        if m.dim == 3:
-            return _h3_fields(m, X, y, t, frames)
-        if m.dim == 2:
-            return _h2_fields(m, X, y, t, frames)
-    raise OracleError(f"no kernel oracle for {m.describe()}")
+    out = _ambient_core(m)(m, X, y[None, :], t)
+    out["hess"] = _frame_contract(frames, out["hess"])
+    return out
 
 
 def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
@@ -439,13 +426,12 @@ def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
     Sources with ``coef_j == 0`` are skipped.  Pairs are evaluated in
     blocks of at most ``_PAIR_BLOCK``; each block's ambient Hessians are
     summed over its sources by one matmul, and the frames are contracted
-    once per target at the end.  Euclidean, torus and sphere models only.
+    once per target at the end.  Every model with a kernel oracle: R^d,
+    T^d, S^2, H^2 and H^3.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
     core = _ambient_core(m)
-    if core is None:
-        raise OracleError(f"no batched kernel quadrature for {m.describe()}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -503,7 +489,9 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
       (caller owns the tail bound for its integrand)
     * hyperbolic (d = 2): geodesic polar grid on the ball of fixed radius
       12 about the base point (OracleError when a * 12 leaves hyperboloid
-      coordinates too inexact)
+      coordinates too inexact).  Its farthest nodes sit at x0 = 7.3e4 for
+      a = 1, where coordinates carry ~eps x0^2 of round-off; the kernel
+      core integrates over them, but a walk started there diverges
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")

@@ -581,11 +581,13 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     term weighted by the measured W moment.
 
     Each (t, x) sample walks round(t / cfg.h) steps, at least 2, at step
-    t / n.  The norm report (b) integrates over :func:`quadrature_grid` at
-    resolution 12 on H^2, where each node is a Monte Carlo estimate, and 32
-    on the other models.  ``include_lp=False`` skips (b), whose per-node
-    cost is high on models without a fast kernel; its report is then
-    returned empty and marked not passed with an explanatory note.
+    t / n.  The norm report (b) takes |Hess P_t f| at the nodes of
+    :func:`quadrature_grid` by kernel quadrature over the same grid, at
+    resolution 12 on H^2, whose kernel pays Richardson differences of an
+    integral per (node, source) pair, and 32 on the other models.
+    ``include_lp=False`` skips (b), for callers that want only the Monte
+    Carlo reports (a) and (c); its report is then returned empty and marked
+    not passed with an explanatory note.
     """
     if n_paths < MIN_STAT_PATHS:
         raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
@@ -640,14 +642,12 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     if have_grid:
         fnorm = lp_norm(grid, f.eval_fn(grid.nodes), 2)
         for t in t_list:
-            hvals = _hess_field_norm(m, f, float(t), grid, n_paths, cfg.h, seed,
-                                     threads)
+            hvals = _hess_field_norm(m, f, float(t), grid)
             lhs = t * lp_norm(grid, hvals, 2)
             rhs = (1.0 + math.sqrt(t)) * math.exp((2 * K + theta) * t) * fnorm
             rows_b.append({"t": float(t), "lhs": lhs, "rhs_no_const": rhs,
                            "ratio": lhs / rhs,
-                           "provenance": "quadrature" if m.kind != "hyperbolic"
-                           else "monte-carlo", "reliable": True})
+                           "provenance": "quadrature", "reliable": True})
     const_a = max((r["ratio"] for r in rows_a if r["reliable"]), default=math.inf)
     const_b = max((r["ratio"] for r in rows_b), default=math.nan)
     passed_a = all(math.isfinite(r["ratio"]) for r in rows_a if r["reliable"])
@@ -666,27 +666,37 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
 
 
 def _hess_field_norm(m: ManifoldModel, f: ScalarField, t: float,
-                     grid: QuadratureGrid, n_paths: int, h: float,
-                     seed: int, threads: Optional[int] = None) -> np.ndarray:
-    """|Hess P_t f| at the grid nodes: kernel quadrature where a fast kernel
-    exists, otherwise the mixed-formula Monte Carlo pointwise."""
-    if m.kind != "hyperbolic":
-        fvals = f.eval_fn(grid.nodes)
-        coef = np.where(np.abs(fvals) < 1e-14, 0.0, grid.weights * fvals)
-        H, _ = kernel_hess_quadrature(m, grid.nodes, grid.nodes, coef, t,
-                                      frames=grid.frames(m))
-        return np.linalg.norm(H, ord=2, axis=(1, 2))
-    vals = np.empty(len(grid.nodes))
-    n = max(MIN_STAT_PATHS, n_paths // 10)
-    for i, node in enumerate(grid.nodes):
-        sm = _semigroup_samples(m, f, Point(node), t, n, h, derive_seed(seed, 91, i),
-                                threads)
-        vals[i] = float(np.linalg.norm(sm["hess"], 2))
-    return vals
+                     grid: QuadratureGrid) -> np.ndarray:
+    """|Hess P_t f| at the grid nodes by kernel quadrature over the grid."""
+    fvals = f.eval_fn(grid.nodes)
+    coef = np.where(np.abs(fvals) < 1e-14, 0.0, grid.weights * fvals)
+    H, _ = kernel_hess_quadrature(m, grid.nodes, grid.nodes, coef, t,
+                                  frames=grid.frames(m))
+    return np.linalg.norm(H, ord=2, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
 # Kato functional
+
+def _kato_grid(t_list: Sequence[float], h: Optional[float] = None):
+    """Sorted marks, the step count over [0, t_max] and each mark's step
+    index; the walk takes round(t_max / h) steps (h defaults to t_max / 200)
+    and every mark must fall on one of them."""
+    t_list = sorted(float(t) for t in t_list)
+    t_max = t_list[-1]
+    if h is None:
+        h = t_max / 200.0
+    n_steps = _grid_steps(t_max, h)
+    step = t_max / n_steps
+    marks = []
+    for t in t_list:
+        k = round(t / step)
+        if abs(k * step - t) > 1e-9:
+            raise ValueError(f"h = {h:g} walks steps of {step:g} over "
+                             f"[0, {t_max:g}], and none ends at t = {t:g}")
+        marks.append(int(k))
+    return t_list, n_steps, marks
+
 
 def kato_functional(m: ManifoldModel, potential: ScalarField,
                     t_list: Sequence[float], x_list: Sequence[Point],
@@ -696,22 +706,13 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
 
     The table reports, per t, the sup over x_list of the mean integral and
     of the mean exponential; (C, theta) come from least squares of
-    log exponential moments against t.
+    log exponential moments against t.  The step grid is that of
+    :func:`_kato_grid`.
     """
     if n_paths < MIN_STAT_PATHS:
         raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
-    t_list = sorted(float(t) for t in t_list)
+    t_list, n_steps, marks = _kato_grid(t_list, h)
     t_max = t_list[-1]
-    if h is None:
-        h = t_max / 200.0
-    n_steps = _grid_steps(t_max, h)
-    h = t_max / n_steps
-    marks = []
-    for t in t_list:
-        k = round(t / h)
-        if abs(k * h - t) > 1e-9:
-            raise ValueError(f"t = {t} is not on the step grid (h = {h:g})")
-        marks.append(int(k))
     rows = {t: {"t": t, "functional": -math.inf, "functional_se": 0.0,
                 "expmom": -math.inf, "expmom_se": 0.0, "dropped": 0}
             for t in t_list}

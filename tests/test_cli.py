@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from mheat import cli, verify
 from mheat.cli import (
     ConfigError,
     ExperimentConfig,
@@ -269,6 +270,110 @@ w = [1.0, 0.0]
     assert abs(value + 0.8 / 5.0) <= 4.0 * stderr + qtol
     assert report.verdicts == [{"check": "estimate-green-hess", "passed": True,
                                 "inconclusive": False}]
+
+
+def test_green_hess_takes_h_unchanged(tmp_path, monkeypatch):
+    # h = 0.3 does not divide the unrelated t = 0.5; Green walks each node
+    # on the grid of step h, so it must not see t / round(t / h) = 0.25
+    seen = []
+    real = cli.estimate_green_hess
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["h"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_green_hess", spy)
+    run_config(write(tmp_path, f"""
+kind = "estimate"
+seed = 5
+n_paths = 64
+h = 0.3
+out_dir = "{tmp_path / 'out'}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+
+[estimate]
+op = "green-hess"
+field = "coord-z"
+sigma = 3.0
+n_nodes = 4
+"""))
+    assert seen == [0.3]
+
+
+KATO_CFG = """
+kind = "verify"
+seed = 3
+n_paths = 1000
+h = {h}
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+
+[verify]
+check = "kato"
+potential = "const"
+potential_params = {{ c = 0.7 }}
+t_list = [0.1, 0.2]
+"""
+
+
+def test_kato_run_steps_at_h(tmp_path, monkeypatch):
+    walks = []
+    real = verify._walk_chunks
+
+    def spy(m, x0, t, n_steps, *args, **kwargs):
+        walks.append((t, n_steps))
+        return real(m, x0, t, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_walk_chunks", spy)
+    report = run_config(write(tmp_path, KATO_CFG.format(h=0.01,
+                                                         out=tmp_path / "out")))
+    assert walks == [(0.2, 20)]
+    assert report.exit_status == 0
+
+
+def test_kato_mark_off_the_h_grid_is_config_error(tmp_path):
+    # h = 0.03 walks 7 steps of 0.2 / 7 over [0, 0.2]; none ends at 0.1
+    cfg = write(tmp_path, KATO_CFG.format(h=0.03, out=tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r":5: h = 0\.03 .* t = 0\.1$"):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_semigroup_bounds_hyperbolic_run(tmp_path):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"""
+kind = "verify"
+seed = 11
+n_paths = 1000
+h = 0.02
+out_dir = "{out}"
+
+[manifold]
+kind = "hyperbolic"
+dim = 2
+
+[verify]
+check = "semigroup-bounds"
+alpha = 0.2
+field = "gauss-bump"
+field_params = {{ lam = 1.5 }}
+t_list = [0.1]
+""")
+    assert main(["run", cfg]) in (0, 1)
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["status"] == "complete"
+    with open(out / "semigroup-hessian-lp.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["provenance"] for r in rows] == ["quadrature"]
+    for key in ("lhs", "rhs_no_const", "ratio"):
+        assert math.isfinite(float(rows[0][key])), key
 
 
 def test_simulate_kind(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mheat import oracle
+from mheat import oracle, verify
 from mheat.geometry import (
     Euclidean,
     Hyperbolic,
@@ -16,12 +16,19 @@ from mheat.geometry import (
     Sphere,
     Torus,
     const_field,
+    gaussian_bump_field,
     square_coordinate_field,
 )
-from mheat.oracle import OracleError, kernel_hess_quadrature, kernel_on_grid
+from mheat.oracle import (
+    OracleError,
+    kernel_hess_quadrature,
+    kernel_on_grid,
+    lp_norm,
+    quadrature_grid,
+)
 from mheat.verify import BoundCheckConfig, check_gaffney, check_semigroup_bounds
 
-QUAD_MODELS = [Euclidean(2), Torus(2), Sphere(2, 1.0)]
+QUAD_MODELS = [Euclidean(2), Torus(2), Sphere(2, 1.0), Hyperbolic(3, 0.7)]
 
 
 def _reference_quadrature(m, X, Y, coef, t):
@@ -90,10 +97,133 @@ def test_quadrature_skips_zero_coefficients():
 
 
 def test_quadrature_rejects_other_models():
-    m = Hyperbolic(2, 1.0)
+    # H^d has a kernel core for d in {2, 3} only
+    m = Hyperbolic(4, 1.0)
     X = m.random_points(np.random.default_rng(0), 3, spread=0.5)
-    with pytest.raises(OracleError, match="batched"):
+    with pytest.raises(OracleError, match="kernel oracle"):
         kernel_hess_quadrature(m, X, X, np.ones(3), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# (a') the H^d pair core against the log-and-frame route it replaced
+
+def _log_frame_fields(m, X, y, t, frames):
+    """Kernel fields of H^2 / H^3 at fixed y: radial derivatives in rho
+    (closed form on H^3, Richardson differences of the integral on H^2),
+    assembled in frame coordinates through log_x y."""
+    a, d = m.scale, m.dim
+    rho = m.distance(X, np.broadcast_to(y, X.shape))
+    if d == 3:
+        p1, dp1, d2p1, pt1 = oracle._h3_core(a * rho, a * a * t)
+        p, dp, d2p, pt = a ** 3 * p1, a ** 4 * dp1, a ** 5 * d2p1, a ** 5 * pt1
+    else:
+        def pfun(r, s=t):
+            return a ** 2 * oracle._h2_core_p(a * r, a * a * s)
+
+        hr = 1e-3
+
+        def rich(rule, step):
+            return (4.0 * rule(step / 2) - rule(step)) / 3.0
+
+        p = pfun(rho)
+        dp = rich(lambda h: (pfun(rho + h) - pfun(np.abs(rho - h))) / (2 * h), hr)
+        dp = np.where(rho < hr, dp * (rho / hr), dp)
+        d2p = rich(lambda h: (pfun(rho + h) - 2 * pfun(rho)
+                              + pfun(np.abs(rho - h))) / h ** 2, hr)
+        pt = rich(lambda h: (pfun(rho, t + h) - pfun(rho, t - h)) / (2 * h),
+                  1e-3 * max(t, 0.1))
+    small = rho < 1e-8
+    r = np.where(small, 1.0, rho)
+    away = -m.log(X, np.broadcast_to(y, X.shape)) / r[:, None]
+    drho = np.einsum("nda,na->nd", frames * m.metric_sign(), away)
+    eye = np.eye(d)
+    hess = (d2p[:, None, None] * drho[:, :, None] * drho[:, None, :]
+            + (dp * a / np.tanh(a * r))[:, None, None]
+            * (eye - drho[:, :, None] * drho[:, None, :]))
+    hess = np.where(small[:, None, None], d2p[:, None, None] * eye, hess)
+    grad = np.where(small[:, None], 0.0, dp[:, None] * away)
+    return {"p": p, "dp_dt": pt, "grad": grad,
+            "lap": -np.einsum("nii->n", hess), "hess": hess}
+
+
+def _transported_frames(m, X):
+    """The base point's frame carried to each x along the geodesic: exact to
+    round-off even where ``m.frame`` loses orthonormality (far H^2 grid
+    nodes), so the comparison below measures the kernel cores alone."""
+    o = np.broadcast_to(m.base_point(), X.shape)
+    U = m.log(o, X)
+    return np.stack([m.transport(o, U, np.broadcast_to(e, X.shape))
+                     for e in m.frame(o[:1])[0]], axis=1)
+
+
+def _hyperbolic_targets(m):
+    # H^2: the L^p report's grid, nodes out to x0 = 7.3e4 at a = 1; H^3:
+    # geodesic rays from the base point out to radius 11.9 (x0 = 7.4e4)
+    if m.dim == 2:
+        return quadrature_grid(m, 12).nodes
+    g = np.random.Generator(np.random.Philox(key=31))
+    U = np.zeros((60, 4))
+    U[:, :3] = g.standard_normal((60, 3))
+    U *= (np.linspace(0.05, 11.9, 60) / np.linalg.norm(U, axis=1))[:, None]
+    return m.exp(np.broadcast_to(m.base_point(), U.shape), U)
+
+
+# max |core - log-and-frame| / max |log-and-frame| per field, over t in
+# {0.05, 0.25, 1}, a in {1, 0.5} and sources at the base point, a mid node,
+# the farthest node, a target itself (rho = 0) and rho = 2e-3 from it.
+# Measured: H^2 3.2e-4 (Hessian and Laplacian at rho = 2e-3, a = 0.5; the
+# Richardson differences amplify the rule's ~1e-12 noise when rho moves by
+# an ulp), 6.2e-6 for p, dp_dt and grad; H^3 4.7e-7 (Hessian at the
+# farthest node, where coordinates carry ~eps |x|^2 of round-off).
+HYPERBOLIC_CORE_TOL = {2: 1e-3, 3: 2e-6}
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hyperbolic_core_matches_log_frame_route(d, a):
+    m = Hyperbolic(d, a)
+    X = _hyperbolic_targets(m)
+    frames = _transported_frames(m, X)
+    sources = [m.base_point(), X[len(X) // 2], X[-1], X[7],
+               m.exp(X[7:8], 2e-3 * frames[7, :1])[0]]
+    for t in (0.05, 0.25, 1.0):
+        for y in sources:
+            out = kernel_on_grid(m, X, y, t, frames=frames)
+            ref = _log_frame_fields(m, X, y, t, frames)
+            for key, want in ref.items():
+                err = np.max(np.abs(out[key] - want)) / np.max(np.abs(want))
+                assert err <= HYPERBOLIC_CORE_TOL[d], (key, t)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hyperbolic_hessian_on_diagonal_limit(d):
+    # Hess_x p_t(x, y) -> p''(0) g as y -> x.  The log-and-frame route
+    # tapered p' below rho = 1e-3 on H^2, so its tangential eigenvalue there
+    # was p''(0) rho / 1e-3 instead of p''(0)
+    m = Hyperbolic(d, 1.0)
+    x = m.random_points(np.random.default_rng(3), 1, spread=0.8)
+    F = m.frame(x)
+    H0 = kernel_on_grid(m, x, x[0], 0.25, frames=F)["hess"][0]
+    np.testing.assert_allclose(H0, H0[0, 0] * np.eye(d), atol=1e-12)
+    for eps in (1e-7, 1e-5, 5e-4):
+        y = m.exp(x, eps * F[:, 0])[0]
+        H = kernel_on_grid(m, x, y, 0.25, frames=F)["hess"][0]
+        assert np.max(np.abs(H - H0)) <= 1e-6 * abs(H0[0, 0]), eps
+
+
+def test_h2_quadrature_matches_per_source_loop(monkeypatch):
+    # H^3 is in QUAD_MODELS.  On H^2 a matmul inside the integral rule
+    # rounds a row differently in batches of different sizes, and the
+    # Richardson second difference amplifies that ulp by ~1/hr^2: measured
+    # 6.5e-10 of max |H| at t = 1, so the bound is 5e-9 instead of 1e-12
+    monkeypatch.setattr(oracle, "_PAIR_BLOCK", 256)  # several pair blocks
+    m = Hyperbolic(2, 1.0)
+    X, Y, coef = _sources(m, 30, 50, seed=13)
+    for t in (0.1, 1.0):
+        H, reliable = kernel_hess_quadrature(m, X, Y, coef, t)
+        H_ref, _ = _reference_quadrature(m, X, Y, coef, t)
+        assert reliable.all()
+        assert np.max(np.abs(H - H_ref)) <= 5e-9 * np.max(np.abs(H_ref)), t
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +340,29 @@ def test_semigroup_lp_constant_sphere_vanishes():
         x_list=[Point(m.base_point())], t_list=[0.5])
     assert rep_b.samples
     assert all(r["lhs"] <= 1e-12 for r in rep_b.samples)
+
+
+def test_semigroup_lp_hyperbolic_by_quadrature():
+    # on H^2 this report once ran a Monte Carlo walk from every grid node,
+    # and the walks from the far nodes (x0 = 7.3e4) diverged at step 8
+    m = Hyperbolic(2, 1.0)
+    f = gaussian_bump_field(m, lam=1.5)
+    _, rep_b, _ = check_semigroup_bounds(
+        m, f, BoundCheckConfig(alpha=0.2, h=0.02), n_paths=9000, seed=11,
+        t_list=[0.1, 0.2])
+    assert [r["t"] for r in rep_b.samples] == [0.1, 0.2]
+    for r in rep_b.samples:
+        assert r["provenance"] == "quadrature"
+        assert 0.0 < r["lhs"] < math.inf and math.isfinite(r["ratio"])
+    assert rep_b.passed
+
+
+def test_hyperbolic_hess_field_norm_stable_under_refinement():
+    # the L2 norm of |Hess P_t f| on the report's grid (resolution 12)
+    # against resolution 16; measured 0.48687 against 0.49296 at t = 1
+    # (1.2%) and 1.6063 against 1.6121 at t = 0.25 (0.4%)
+    m = Hyperbolic(2, 1.0)
+    f = gaussian_bump_field(m, lam=1.5)
+    coarse, fine = (lp_norm(g, verify._hess_field_norm(m, f, 1.0, g), 2)
+                    for g in (quadrature_grid(m, 12), quadrature_grid(m, 16)))
+    assert abs(coarse - fine) <= 0.025 * fine

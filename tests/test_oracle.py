@@ -65,7 +65,8 @@ def test_hessian_trace_matches_laplacian(m):
         assert abs(np.trace(ev.hess_x) + ev.laplacian_x) < 1e-6
 
 
-@pytest.mark.parametrize("m", [Euclidean(2), Torus(2), Sphere(2, 1.0)],
+@pytest.mark.parametrize("m", [Euclidean(2), Torus(2), Sphere(2, 1.0),
+                               Hyperbolic(2, 1.0), Hyperbolic(3, 1.0)],
                          ids=lambda m: m.describe())
 def test_kernel_symmetry(m):
     g = rng()

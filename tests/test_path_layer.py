@@ -356,7 +356,7 @@ def test_chunk_walk_built_only_in_path_layer():
 def test_step_count_rule_only_in_transport():
     # round(a / b) turns a horizon and a step into a step count; outside
     # transport only Kato's mark check, which maps mark times to indices
-    allowed = {("transport", "_grid_steps"), ("verify", "kato_functional")}
+    allowed = {("transport", "_grid_steps"), ("verify", "_kato_grid")}
     found = set()
     for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
