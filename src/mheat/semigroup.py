@@ -24,11 +24,18 @@ Every Monte Carlo consumer (these estimators, verify's checks, the CLI's
 ``simulate``) hands an ``observe(walk)`` to one path layer, which walks
 fixed-size chunks of paths on ``threads`` workers and returns observations
 in chunk order; folds in that order are bitwise reproducible for a given
-(seed, n_paths, chunk_size) regardless of threading.
+(seed, n_paths, chunk_size) regardless of threading.  The layer also walks
+several path sets (horizon, step count, stream, path count) at once: each
+chunk of each set is a group, and waves of whole groups, longest first,
+share one :class:`ChunkWalk`, so one walk step moves every group still
+walking.  A wave holds no more path-steps than the largest group and no
+more paths than the widest.  Every group's values are bitwise those of a
+walk of that group alone.
 
 The Green operator integrates e^{-sigma t} Hess P_t f over log-time nodes,
-each an independent Hessian estimate on its own stream.  Its ``n_paths`` is
-an accuracy contract rather than a per-node count: above 64 paths, a
+each an independent Hessian estimate on its own stream, and the nodes
+walk together as the path sets of batched walks.  Its ``n_paths`` is an
+accuracy contract rather than a per-node count: above 64 paths, a
 64-path pilot per node (stream key 102, discarded) sizes the nodes by
 Neyman allocation so that the predicted variance is at most that of
 ``n_paths`` paths at every node and the main walks take no more path-steps;
@@ -48,8 +55,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ManifoldModel, Point, ScalarField, TangentVector
-from .transport import (ChunkWalk, _check_grid, _grid_steps, _vw_components,
-                        frame_components, q_decay_factor, w_step)
+from .transport import (ChunkWalk, WalkGroup, _check_grid, _grid_steps,
+                        _vw_components, frame_components, q_decay_factor,
+                        w_update)
 
 __all__ = [
     "McEstimate",
@@ -216,55 +224,122 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return max(1, int(threads))
 
 
-def _chunk_map(worker, n_units: int, chunk_size: int, threads: Optional[int]):
-    """Yield worker(lo, hi) over consecutive unit ranges, in chunk order.
+def _chunk_map(worker, n_items: int, threads: Optional[int]):
+    """Yield worker(i) for i in range(n_items), in order.
 
-    Chunks run on a thread pool when there are several threads and several
-    chunks; the results come back in chunk order either way.
+    Items run on a thread pool when there are several threads and several
+    items; the results come back in order either way.
     """
-    chunks = [(lo, min(lo + chunk_size, n_units))
-              for lo in range(0, n_units, chunk_size)]
     nthreads = _resolve_threads(threads)
-    if nthreads <= 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            yield worker(lo, hi)
+    if nthreads <= 1 or n_items == 1:
+        for i in range(n_items):
+            yield worker(i)
         return
     with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        yield from ex.map(lambda c: worker(*c), chunks)
+        yield from ex.map(worker, range(n_items))
 
 
-def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t: float, n_steps: int,
-                 seed: int, n_paths: int, observe, *, antithetic: bool = False,
-                 chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None):
-    """Yield observe(walk) on a fresh :class:`ChunkWalk` per chunk, in order.
+def _sets(*values):
+    """Per-set sequences from scalars (one set) or equal-length sequences."""
+    return [list(v) if np.ndim(v) else [v] for v in values]
 
-    With ``antithetic`` a unit of ``chunk_size`` is the pair of paths
-    (2m, 2m + 1), and observe's per-path values come back pair-averaged.
-    """
-    if antithetic:
-        if n_paths % 2:
+
+def _chunk_groups(n_paths, antithetic: bool, chunk_size: int):
+    """(set, path_lo, path_hi) of every chunk of every path set, in (set,
+    chunk) order; a chunk is ``chunk_size`` units, a unit being a path or,
+    with ``antithetic``, the pair of paths (2m, 2m + 1)."""
+    per_unit = 2 if antithetic else 1
+    groups = []
+    for i, n in enumerate(n_paths):
+        if antithetic and n % 2:
             raise ValueError("antithetic estimation needs an even path count")
-        n_units, per_unit = n_paths // 2, 2
-    else:
-        n_units, per_unit = n_paths, 1
+        units = n // per_unit
+        groups += [(i, per_unit * lo, per_unit * min(lo + chunk_size, units))
+                   for lo in range(0, units, chunk_size)]
+    return groups
 
-    def worker(ulo, uhi):
-        walk = ChunkWalk(m, x0, t, n_steps, seed, per_unit * ulo, per_unit * uhi,
-                         antithetic=antithetic)
+
+def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
+                 observe, *, antithetic: bool = False,
+                 chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
+                 one_wave: bool = False):
+    """Yield observe's per-path values for every chunk, in (set, chunk) order.
+
+    A path set is one horizon ``t``, step count, stream ``seed`` and path
+    count: scalars give one set, equal-length sequences several (Green's
+    quadrature nodes).  Each set is cut into chunks of ``chunk_size`` units
+    (with ``antithetic`` a unit is the pair of paths (2m, 2m + 1), and
+    observe's per-path values come back pair-averaged); one chunk of one
+    set is a group.
+
+    Groups walk in waves, one :class:`ChunkWalk` each, on ``threads``
+    workers.  Waves take whole groups in ascending step order while the wave
+    holds no more path-steps than the largest group and no more paths than
+    the widest, so no buffer outgrows the largest single walk; one set's
+    chunks therefore walk one per wave.  With ``one_wave`` every group walks
+    in one wave (Green's pilot: at most 64 paths x 16 steps per node).  A
+    wave's observe(walk) returns values whose first axis runs over the
+    walk's paths when it holds several groups.  The walk moves each group's
+    paths bitwise as a walk of that group alone would, so an observer that
+    takes each group's small products on the group's own rows (as the
+    Hessian observer does) returns bitwise the same values, at any thread
+    count.
+    """
+    t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
+    groups = _chunk_groups(n_paths, antithetic, chunk_size)
+    per_unit = 2 if antithetic else 1
+    steps = [int(n_steps[i]) for i, _, _ in groups]
+    width = [hi - lo for _, lo, hi in groups]
+    order = sorted(range(len(groups)), key=steps.__getitem__)
+    if one_wave:
+        waves = [order] if order else []
+    else:
+        max_cost = max((p * k for p, k in zip(width, steps)), default=0)
+        max_width = max(width, default=0)
+        waves = []
+        for j in order:
+            if (waves and cost + width[j] * steps[j] <= max_cost
+                    and paths + width[j] <= max_width):
+                waves[-1].append(j)
+                cost, paths = cost + width[j] * steps[j], paths + width[j]
+            else:
+                waves.append([j])
+                cost, paths = width[j] * steps[j], width[j]
+
+    def worker(w):
+        wave = sorted(waves[w], key=lambda j: -steps[j])
+        walk = ChunkWalk(m, x0, antithetic=antithetic, groups=[
+            WalkGroup(seed[i], t[i], steps[j], lo, hi, key=i)
+            for j in wave for i, lo, hi in [groups[j]]])
         values = observe(walk)
         if antithetic:
-            return 0.5 * (values[0::2] + values[1::2])
-        return values
+            values = 0.5 * (values[0::2] + values[1::2])
+        if len(wave) == 1:
+            return [(wave[0], values)]
+        b = [lo // per_unit for lo in walk.bounds]
+        if len(values) != b[-1]:
+            raise ValueError("a batched walk's observer returns one value per path")
+        return [(j, values[b[g]:b[g + 1]]) for g, j in enumerate(wave)]
 
-    return _chunk_map(worker, n_units, chunk_size, threads)
+    done, nxt = {}, 0
+    for results in _chunk_map(worker, len(waves), threads):
+        done.update(results)
+        while nxt in done:
+            yield done.pop(nxt)
+            nxt += 1
 
 
-def _walk_moments(*args, **kw) -> RunningMoments:
-    """Fold the moments of :func:`_walk_chunks` values in chunk order."""
-    acc = RunningMoments()
-    for values in _walk_chunks(*args, **kw):
-        acc.update_batch(values)
-    return acc
+def _walk_moments(m, x0, t, n_steps, seed, n_paths, observe, *,
+                  antithetic: bool = False, chunk_size: int = DEFAULT_CHUNK, **kw):
+    """Fold the moments of :func:`_walk_chunks` values per path set, each in
+    chunk order; a list with one :class:`RunningMoments` per set."""
+    t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
+    accs = [RunningMoments() for _ in n_paths]
+    values = _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
+                          antithetic=antithetic, chunk_size=chunk_size, **kw)
+    for (i, _, _), v in zip(_chunk_groups(n_paths, antithetic, chunk_size), values):
+        accs[i].update_batch(v)
+    return accs
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +375,9 @@ def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
         walk.run()
         return np.asarray(fn(walk.points, walk.frames), dtype=float)
 
-    acc = _walk_moments(m, np.asarray(x.coords), t, n_steps, seed, n_paths, observe,
-                        antithetic=antithetic, chunk_size=chunk_size, threads=threads)
+    (acc,) = _walk_moments(m, np.asarray(x.coords), t, n_steps, seed, n_paths,
+                           observe, antithetic=antithetic, chunk_size=chunk_size,
+                           threads=threads)
     return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, mode)
 
 
@@ -329,67 +405,154 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                   antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
                   threads: Optional[int] = None) -> McEstimate:
     """Hess P_t f(v, w)(x) by the chosen representation formula."""
-    if mode not in ("bismut", "mixed"):
-        raise ValueError("mode must be 'bismut' or 'mixed'")
-    if mode == "mixed" and not f.has_oracles:
-        raise ValueError("mixed mode needs grad and Hessian oracles for f")
-    cfg = cfg or HessianEstimatorConfig()
-    if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
-        cfg.validate_profiles(t)
-    n_steps = _check_grid(t, h)
-    x0 = np.asarray(x.coords)
-    vbar, wbar = _vw_components(m, x, v, w)
-    d = m.dim
-    kappa = m.sectional_curvature
-    damp = math.exp(-h * (d - 1) * kappa)
-    svals = np.arange(n_steps) * h
-    qvals = q_decay_factor(m, svals)
-    kd = np.array([cfg.kdot(float(s), t) for s in svals])
-    ld = np.array([cfg.ldot(float(s), t) for s in svals])
-
-    def observe(walk):
-        n = walk.n_paths
-        # per-step work on (d, n) arrays: dB.T of the yielded view is the
-        # walk's contiguous increment row block
-        W = np.zeros((d, n))
-        if mode == "bismut":
-            IW = np.zeros(n)
-            Iv = np.zeros(n)
-            Iw = np.zeros(n)
-            for k, dB in walk.steps():
-                dB = dB.T
-                qk = qvals[k]
-                if kd[k] != 0.0:
-                    IW += kd[k] * np.einsum("dn,dn->n", W, dB)
-                    Iv += kd[k] * qk * (vbar @ dB)
-                if ld[k] != 0.0:
-                    Iw += ld[k] * qk * (wbar @ dB)
-                W = w_step(m, W, dB, qk * vbar, qk * wbar, damp)
-            fv = f.eval_fn(walk.points)
-            vals = -0.5 * fv * IW + 0.25 * fv * Iw * Iv
-        else:
-            for k, dB in walk.steps():
-                W = w_step(m, W, dB.T, qvals[k] * vbar, qvals[k] * wbar, damp)
-            qT = float(q_decay_factor(m, t))
-            H = f.hess_fn(walk.points, walk.frames)
-            term1 = qT * qT * np.einsum("nij,i,j->n", H, vbar, wbar)
-            gc = frame_components(m, walk.frames, f.grad_fn(walk.points))
-            vals = term1 + np.einsum("nd,dn->n", gc, W)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("non-finite Hessian sample")
-        return vals
-
-    acc = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
-                        antithetic=antithetic, chunk_size=chunk_size, threads=threads)
-    est = McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, f"hess-{mode}")
+    (est,) = _hess_nodes(m, f, x, v, w, cfg, mode, t=[t], h=[h], seed=[seed],
+                         n_paths=[n_paths], antithetic=antithetic,
+                         chunk_size=chunk_size, threads=threads)
     if est.variance_dominated:
-        est.notes = "stderr exceeds |value|: variance-dominated estimate"
         se = float(np.max(est.stderr))
         # only worth a runtime warning when the noise is non-negligible
         if se > 1e-4:
             warnings.warn(f"Hessian estimate at t = {t:g} is variance dominated "
                           f"(stderr {se:.3g} > |value|)")
     return est
+
+
+@dataclass
+class _HessNode:
+    """Per-step coefficients of one horizon's Hessian estimator."""
+
+    qvals: np.ndarray   # damped-transport factor at each step's left node
+    kd: np.ndarray      # kdot and ldot at the left nodes
+    ld: np.ndarray
+    damp: float         # Ricci damping of W per step
+    qw: np.ndarray      # (n_steps, d) rows qvals[k] * wbar
+    qvw: np.ndarray     # <qvals[k] vbar, qvals[k] wbar> for k < w_steps
+    w_steps: int        # steps whose W update is ever read
+    qT: float           # transport factor at the horizon
+
+
+def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
+                w: TangentVector, cfg: Optional[HessianEstimatorConfig],
+                mode: str, *, t, h, seed, n_paths, antithetic: bool = True,
+                chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
+                one_wave: bool = False):
+    """Hess P_t f(v, w)(x) at several horizons, one McEstimate per node.
+
+    Node i walks ``n_paths[i]`` paths of stream ``seed[i]`` over
+    ``[0, t[i]]`` at step ``h[i]``; every node's chunks are groups of the
+    batched walks of :func:`_walk_chunks`.  Per-step coefficients (step
+    size, damping, transport factor, profiles) are per path, and each node's
+    small products with its increments are taken on that group's own rows,
+    so each estimate is bitwise what a call for that node alone returns.
+    Variance-dominated estimates carry a note and no warning.
+    """
+    if mode not in ("bismut", "mixed"):
+        raise ValueError("mode must be 'bismut' or 'mixed'")
+    if mode == "mixed" and not f.has_oracles:
+        raise ValueError("mixed mode needs grad and Hessian oracles for f")
+    cfg = cfg or HessianEstimatorConfig()
+    d = m.dim
+    kappa = m.sectional_curvature
+    vbar, wbar = _vw_components(m, x, v, w)
+    nodes = []
+    for ti, hi in zip(t, h):
+        if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
+            cfg.validate_profiles(ti)
+        n_steps = _check_grid(ti, hi)
+        svals = np.arange(n_steps) * hi
+        qvals = q_decay_factor(m, svals)
+        kd = np.array([cfg.kdot(float(s), ti) for s in svals])
+        qv, qw = qvals[:, None] * vbar, qvals[:, None] * wbar
+        if kappa == 0.0:
+            w_steps = 0  # W stays 0
+        elif mode == "mixed":
+            w_steps = n_steps
+        else:
+            # bismut reads W only where kdot is nonzero
+            w_steps = int(np.flatnonzero(kd)[-1]) if np.any(kd) else 0
+        nodes.append(_HessNode(
+            qvals=qvals, kd=kd,
+            ld=np.array([cfg.ldot(float(s), ti) for s in svals]),
+            damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
+            qvw=np.array([np.dot(a, b) for a, b in zip(qv[:w_steps], qw)]),
+            w_steps=w_steps, qT=float(q_decay_factor(m, ti))))
+
+    def observe(walk):
+        groups, bounds, incs = walk.groups, walk.bounds, walk.group_increments
+        node = [nodes[g.key] for g in groups]
+        width = np.diff(bounds)
+        n, live = bounds[-1], len(groups)
+        # coefficient tables (step, group), spread over a group's columns
+        tables = np.zeros((3, walk.n_steps, live))
+        for g, nd in enumerate(node):
+            tables[0, :len(nd.qvals), g] = nd.qvals
+            tables[1, :nd.w_steps, g] = nd.qvw
+        tables[2] = [nd.damp for nd in node]
+        w_steps = max(nd.w_steps for nd in node)
+        W = np.zeros((d, n))
+        if mode == "bismut":
+            IW, Iv, Iw = np.zeros(n), np.zeros(n), np.zeros(n)
+        vals = np.empty(n)
+
+        def finish(g):
+            # the group walked its last step: observe it on its own columns
+            lo, hi = bounds[g], bounds[g + 1]
+            points, frames = walk.group_state(g)
+            if mode == "bismut":
+                fv = f.eval_fn(points)
+                vg = -0.5 * fv * IW[lo:hi] + 0.25 * fv * Iw[lo:hi] * Iv[lo:hi]
+            else:
+                qT = node[g].qT
+                H = f.hess_fn(points, frames)
+                term1 = qT * qT * np.einsum("nij,i,j->n", H, vbar, wbar)
+                gc = frame_components(m, frames, f.grad_fn(points))
+                Wg = np.ascontiguousarray(W[:, lo:hi])
+                vg = term1 + np.einsum("nd,dn->n", gc, Wg)
+            if not np.all(np.isfinite(vg)):
+                raise FloatingPointError("non-finite Hessian sample")
+            vals[lo:hi] = vg
+
+        for k, dB in walk.steps():
+            while groups[live - 1].n_steps == k:
+                live -= 1
+                finish(live)
+            nl = bounds[live]
+            dB = dB.T
+            if mode == "bismut":
+                e = None
+                for g in range(live):
+                    nd, lo, hi = node[g], bounds[g], bounds[g + 1]
+                    if nd.kd[k] != 0.0:
+                        if e is None:
+                            e = np.einsum("dn,dn->n", W[:, :nl], dB)
+                        IW[lo:hi] += nd.kd[k] * e[lo:hi]
+                        Iv[lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ incs[g][k])
+                    if nd.ld[k] != 0.0:
+                        Iw[lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ incs[g][k])
+            if k < w_steps:
+                qw_dB = np.empty(nl)
+                for g in range(live):
+                    np.matmul(node[g].qw[k], incs[g][k],
+                              out=qw_dB[bounds[g]:bounds[g + 1]])
+                if live == 1:
+                    qk, qvw, damp = tables[:, k, 0]
+                else:
+                    qk, qvw, damp = np.repeat(tables[:, k, :live], width[:live], axis=1)
+                W = w_update(m, W[:, :nl], dB, vbar[:, None] * qk, qvw, qw_dB, damp)
+        for g in range(live):
+            finish(g)
+        return vals
+
+    accs = _walk_moments(m, np.asarray(x.coords), t, [len(nd.qvals) for nd in nodes],
+                         seed, n_paths, observe, antithetic=antithetic,
+                         chunk_size=chunk_size, threads=threads, one_wave=one_wave)
+    ests = []
+    for acc, ti, si, ni in zip(accs, t, seed, n_paths):
+        est = McEstimate(acc.mean, acc.stderr(), ni, ti, si, f"hess-{mode}")
+        if est.variance_dominated:
+            est.notes = "stderr exceeds |value|: variance-dominated estimate"
+        ests.append(est)
+    return ests
 
 
 def _neyman_counts(b: np.ndarray, steps: np.ndarray, n_paths: int,
@@ -429,9 +592,11 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     The reported ``qtol`` combines head uncertainty, the tail bound and an
     embedded half-resolution discretization estimate.
 
-    Each node is an independent :func:`estimate_hess` on its own stream
-    ``derive_seed(seed, 101, i)``, with a Neyman allocation of paths: node i
-    gets n_i proportional to b_i / sqrt(steps_i), where b_i is its absolute
+    Each node is an independent Hessian estimate on its own stream
+    ``derive_seed(seed, 101, i)``, bitwise what :func:`estimate_hess` with
+    that node's horizon, step, stream and path count returns, with a
+    Neyman allocation of paths: node i gets n_i proportional to
+    b_i / sqrt(steps_i), where b_i is its absolute
     quadrature coefficient (the head's weight added to node 0's) times the
     per-path standard deviation from a pilot.  The pilot walks 64 paths
     over min(steps_i, 16) steps on the separate stream
@@ -444,10 +609,16 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     ``n_paths`` paths (the equal rule) when n_paths <= 64, where the floor
     leaves nothing to save and no pilot runs; when every pilot deviation
     is 0 (a deterministic integrand) or none is finite; and when the
-    floored counts would cost more path-steps than the equal rule.  The
-    result is a deterministic function of (seed, n_paths, chunk_size, cfg)
-    at any thread count; ``notes`` records the pilot and main path-steps
-    and the node count range.
+    floored counts would cost more path-steps than the equal rule.
+
+    The nodes do not walk one by one: the pilot is one batched walk of
+    every node's 64 paths, and the main walks pack the nodes' chunks, in
+    ascending step order, into waves that hold no more path-steps than the
+    largest chunk and no more paths than the widest, so no buffer outgrows
+    the largest single node walk (see :func:`_walk_chunks`).  The result
+    is a deterministic function of (seed, n_paths, chunk_size, cfg) at any
+    thread count; ``notes`` records the pilot and main path-steps and the
+    node count range.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even path count")
@@ -482,28 +653,28 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     coef = wts * np.exp(-sigma * nodes)
     coef[0] += head_frac / sigma
 
-    def node_hess(i, n, n_steps, stream):
+    def node_hess(counts, n_steps, stream, one_wave=False):
         # variance domination at individual tail nodes (value near zero) is
-        # expected; collect it into the notes instead of warning per node
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return estimate_hess(
-                m, f, x, v, w, float(nodes[i]), cfg, mode, n_paths=int(n),
-                h=float(nodes[i]) / int(n_steps),
-                seed=derive_seed(seed, stream, i), antithetic=antithetic,
-                chunk_size=chunk_size, threads=threads)
+        # expected; it is counted into the notes, not warned per node
+        return _hess_nodes(
+            m, f, x, v, w, cfg, mode, t=[float(tn) for tn in nodes],
+            h=[float(tn) / int(k) for tn, k in zip(nodes, n_steps)],
+            seed=[derive_seed(seed, stream, i) for i in range(len(nodes))],
+            n_paths=[int(c) for c in counts], antithetic=antithetic,
+            chunk_size=chunk_size, threads=threads, one_wave=one_wave)
 
     if n_paths > _PILOT_PATHS:
         pilot_steps = np.minimum(steps, _PILOT_STEPS)
-        sd = np.array([node_hess(i, _PILOT_PATHS, pilot_steps[i], 102).scalar_stderr
-                       for i in range(len(nodes))]) * math.sqrt(_PILOT_PATHS)
+        pilot = node_hess(np.full(len(nodes), _PILOT_PATHS), pilot_steps, 102,
+                          one_wave=True)
+        sd = np.array([e.scalar_stderr for e in pilot]) * math.sqrt(_PILOT_PATHS)
         counts = _neyman_counts(np.abs(coef) * sd, steps, n_paths, _PILOT_PATHS)
         pilot_cost = _PILOT_PATHS * int(pilot_steps.sum())
     else:
         # every floored count would be at least n_paths: nothing to save
         counts = np.full(len(nodes), n_paths)
         pilot_cost = 0
-    ests = [node_hess(i, counts[i], steps[i], 101) for i in range(len(nodes))]
+    ests = node_hess(counts, steps, 101)
     noisy_nodes = sum(1 for e in ests if e.notes)
     hvals = np.array([float(np.asarray(e.value)) for e in ests])
     hserr = np.array([float(np.asarray(e.stderr)) for e in ests])

@@ -8,8 +8,11 @@ is the geometric Laplacian (the heat semigroup convention used throughout:
 eigenfunctions decay like ``exp(-lambda t)`` with lambda the positive
 eigenvalue).
 
-The batched walk (:class:`ChunkWalk`) stores its state coordinate major --
-points (ambient, n), frames (d, ambient, n), increments (n_steps, d, n) --
+The batched walk (:class:`ChunkWalk`) walks one or more groups of paths
+side by side, each with its own stream, step size and step count; a group
+that has walked its steps leaves the end of the live slice.  It stores its
+state coordinate major -- points (ambient, n), frames (d, ambient, n),
+each group's increments (n_steps, d, n) --
 so every per-step operation is a whole-row numpy call over the n paths
 rather than a reduction over a length-3 inner axis.  One step is
 :meth:`ManifoldModel.walk_step`: the move along ``V = sum_i dB_i F_i`` and
@@ -18,7 +21,9 @@ and the transport is a single rank-one update because the frame components
 of the unit step direction are ``dB / |V|`` (the frame is orthonormal).
 
 The curvature process W_t(v, w) has one recursion, :func:`w_step`, which
-advances a chunk of paths and optionally a batch of (v, w) pairs at once.
+advances a chunk of paths and optionally a batch of (v, w) pairs at once;
+its update from the inner products, :func:`w_update`, also takes a step
+size and transport factor per path, for a walk of several groups.
 The Hessian estimators, verify's domination check and the single-path
 :func:`w_process` all call it; only the curvature-package oracles
 (``*_generic``) compute W another way.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -56,7 +61,9 @@ __all__ = [
     "w_process",
     "w_process_generic",
     "w_step",
+    "w_update",
     "ChunkWalk",
+    "WalkGroup",
     "increment_block",
     "q_decay_factor",
 ]
@@ -127,8 +134,46 @@ class PathRecord:
 # ---------------------------------------------------------------------------
 # chunked walker
 
+class WalkGroup(NamedTuple):
+    """Paths [path_lo, path_hi) of the stream ``seed``, walked ``n_steps``
+    steps of size t / n_steps; ``key`` labels the caller's path set."""
+
+    seed: int
+    t: float
+    n_steps: int
+    path_lo: int
+    path_hi: int
+    key: int = 0
+
+
+def _group_increments(m: ManifoldModel, g: WalkGroup, antithetic: bool) -> np.ndarray:
+    """Step-major (n_steps, d, n) increments of one group, contiguous."""
+    h = float(g.t) / g.n_steps
+    if not antithetic:
+        base = increment_block(g.seed, g.n_steps, m.dim, h, g.path_lo, g.path_hi)
+        return np.ascontiguousarray(base.transpose(1, 2, 0))
+    # physical paths 2m, 2m+1 share stream m with flipped signs
+    lo_s, hi_s = g.path_lo // 2, (g.path_hi + 1) // 2
+    base = increment_block(g.seed, g.n_steps, m.dim, h, lo_s, hi_s)
+    streams = np.arange(g.path_lo, g.path_hi) // 2 - lo_s
+    inc = np.empty((g.n_steps, m.dim, g.path_hi - g.path_lo))
+    # the indices are in range; mode="clip" lets take fill inc directly
+    # where the default mode would buffer a second full block
+    np.take(base.transpose(1, 2, 0), streams, axis=2, out=inc, mode="clip")
+    inc[:, :, (g.path_lo + 1) % 2::2] *= -1.0  # odd physical paths
+    return inc
+
+
 class ChunkWalk:
-    """Vectorized geodesic random walk for a contiguous block of paths.
+    """Vectorized geodesic random walk for contiguous blocks of paths.
+
+    A walk holds one or more :class:`WalkGroup` side by side, each with its
+    own stream, horizon and step count, sorted longest first.  A group walks
+    its own steps and then stays where it is: it leaves the end of the live
+    slice, so the paths that still walk step k are always the first ones.
+    ``t``, ``n_steps``, ``h`` and ``seed`` are those of the first (longest)
+    group, and ``n_paths`` counts the paths the last step moved (all of them
+    before the first step).
 
     All paths start at the same point, or at one point each when ``x0`` is
     a batch.  The walk exposes a generator over steps; observers read
@@ -136,38 +181,36 @@ class ChunkWalk:
     increments, both in fixed path order.
 
     State is held coordinate major -- points (ambient, n), frames
-    (d, ambient, n), increments step major (n_steps, d, n) -- so that each
-    step is one :meth:`ManifoldModel.walk_step` of whole-row operations.
-    ``points`` (n, ambient), ``frames`` (n, d, ambient) and ``increments``
+    (d, ambient, n), each group's increments step major (n_steps, d, n) in
+    ``group_increments`` -- so that each step is one
+    :meth:`ManifoldModel.walk_step` of whole-row operations.  ``points``
+    (n, ambient), ``frames`` (n, d, ambient) and ``increments``
     (n, n_steps, d) are transposed views of that state, and the (n, d)
     increments yielded per step are views whose ``.T`` is contiguous.
     """
 
-    def __init__(self, m: ManifoldModel, x0: np.ndarray, t: float, n_steps: int,
-                 seed: int, path_lo: int, path_hi: int,
-                 antithetic: bool = False):
-        if n_steps < 1:
+    def __init__(self, m: ManifoldModel, x0: np.ndarray, t: Optional[float] = None,
+                 n_steps: Optional[int] = None, seed: Optional[int] = None,
+                 path_lo: Optional[int] = None, path_hi: Optional[int] = None,
+                 antithetic: bool = False, *, groups=None):
+        if groups is None:
+            groups = [WalkGroup(seed, t, n_steps, path_lo, path_hi)]
+        self.groups = tuple(groups)
+        if min(g.n_steps for g in self.groups) < 1:
             raise ValueError("need at least one step")
+        if any(a.n_steps < b.n_steps for a, b in zip(self.groups, self.groups[1:])):
+            raise ValueError("groups must be sorted by step count, longest first")
+        first = self.groups[0]
         self.m = m
-        self.t = float(t)
-        self.n_steps = n_steps
-        self.h = float(t) / n_steps
-        self.seed = int(seed)
-        n = path_hi - path_lo
-        if antithetic:
-            # physical paths 2m, 2m+1 share stream m with flipped signs
-            lo_s, hi_s = path_lo // 2, (path_hi + 1) // 2
-            base = increment_block(seed, n_steps, m.dim, self.h, lo_s, hi_s)
-            streams = np.arange(path_lo, path_hi) // 2 - lo_s
-            inc = np.empty((n_steps, m.dim, n))
-            # the indices are in range; mode="clip" lets take fill inc directly
-            # where the default mode would buffer a second full block
-            np.take(base.transpose(1, 2, 0), streams, axis=2, out=inc, mode="clip")
-            inc[:, :, (path_lo + 1) % 2::2] *= -1.0  # odd physical paths
-            self._inc = inc
-        else:
-            base = increment_block(seed, n_steps, m.dim, self.h, path_lo, path_hi)
-            self._inc = np.ascontiguousarray(base.transpose(1, 2, 0))
+        self.t = float(first.t)
+        self.n_steps = first.n_steps
+        self.h = self.t / self.n_steps
+        self.seed = int(first.seed)
+        self.bounds = [0]
+        for g in self.groups:
+            self.bounds.append(self.bounds[-1] + g.path_hi - g.path_lo)
+        n = self.bounds[-1]
+        self.group_increments = [_group_increments(m, g, antithetic) for g in self.groups]
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 2:
             if x0.shape[0] != n:
@@ -179,6 +222,8 @@ class ChunkWalk:
             f0 = m.frame(x0[None, :])[0]
             self._F = np.repeat(f0[:, :, None], n, axis=2)
         self.n_paths = n
+        self._live = len(self.groups)
+        self._row_k, self._row = -1, None
 
     @property
     def points(self) -> np.ndarray:
@@ -190,21 +235,58 @@ class ChunkWalk:
 
     @property
     def increments(self) -> np.ndarray:
-        return self._inc.transpose(2, 0, 1)
+        """(n, n_steps, d) increments of a one-group walk."""
+        (inc,) = self.group_increments
+        return inc.transpose(2, 0, 1)
+
+    def group_state(self, g: int):
+        """Points (n_g, ambient) and frames (n_g, d, ambient) of group g, as
+        transposed views of contiguous arrays.  A group's end state is there
+        from its last move until the next step: at the yield of step
+        ``n_steps`` of the group, or after the walk for the longest groups."""
+        lo, hi = self.bounds[g], self.bounds[g + 1]
+        P = np.ascontiguousarray(self._P[:, lo:hi])
+        F = np.ascontiguousarray(self._F[..., lo:hi])
+        return P.T, F.transpose(2, 0, 1)
+
+    def _live_groups(self, k: int) -> int:
+        """Number of groups that walk step k (steps run in order)."""
+        g = self._live
+        while g > 1 and self.groups[g - 1].n_steps <= k:
+            g -= 1
+        self._live = g
+        return g
+
+    def _increments(self, k: int) -> np.ndarray:
+        """(d, n_live) increments of step k for the groups that walk it."""
+        live = self._live_groups(k)
+        if live == 1:
+            return self.group_increments[0][k]
+        if self._row_k != k:
+            self._row_k, self._row = k, np.concatenate(
+                [inc[k] for inc in self.group_increments[:live]], axis=1)
+        return self._row
 
     def step(self, k: int) -> None:
-        """Advance every path by step k."""
-        self._P, self._F = self.m.walk_step(self._P, self._F, self._inc[k])
+        """Advance every path that walks step k."""
+        dB = self._increments(k)
+        n = dB.shape[1]
+        if n < self._P.shape[1]:
+            self._P, self._F = self._P[:, :n], self._F[..., :n]
+        self.n_paths = n
+        self._P, self._F = self.m.walk_step(self._P, self._F, dB)
         if not np.all(np.isfinite(self._P)):
             bad = int(np.argmax(~np.all(np.isfinite(self._P), axis=0)))
+            lo = max(b for b in self.bounds if b <= bad)
             raise FloatingPointError(
-                f"path diverged at step {k} (chunk-local index {bad})")
+                f"path diverged at step {k} (chunk-local index {bad - lo})")
 
     def steps(self):
         """Yield (k, increments) with the walk state at the left node; the
-        move executes when the generator resumes."""
+        increments cover the live paths, and the move executes when the
+        generator resumes."""
         for k in range(self.n_steps):
-            yield k, self._inc[k].T
+            yield k, self._increments(k).T
             self.step(k)
 
     def run(self):
@@ -317,13 +399,25 @@ def w_step(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
     kappa (<qv, qw> dB - <dB, qw> qv), and the Ricci damping is the scalar
     ``damp``.
     """
-    kappa = m.sectional_curvature
-    if kappa == 0.0:
+    if m.sectional_curvature == 0.0:
         return damp * W
     # <qv, qw>; a stack of pairs takes it as (..., 1, 1) to broadcast over dB
     qvw = np.dot(qv, qw) if qv.ndim == 1 else qv[..., None, :] @ qw[..., :, None]
-    incr = kappa * (qvw * dB - qv[..., :, None] * (qw @ dB)[..., None, :])
-    return damp * W + incr
+    return w_update(m, W, dB, qv[..., :, None], qvw, (qw @ dB)[..., None, :], damp)
+
+
+def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
+             qvw, qw_dB, damp) -> np.ndarray:
+    """The W step of :func:`w_step` from its inner products.
+
+    ``qvw`` is <qv, qw> and ``qw_dB`` is <qw, dB>; with ``qv`` (d, n) and
+    ``qvw``, ``qw_dB``, ``damp`` of shape (n,) every path has its own step
+    size and transport factor, which is how a batch of groups walks.
+    """
+    kappa = m.sectional_curvature
+    if kappa == 0.0:
+        return damp * W
+    return damp * W + kappa * (qvw * dB - qv * qw_dB)
 
 
 def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,

@@ -540,8 +540,8 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
             gram.reshape(n, -1),              # W pair Gram
         ], axis=1)
 
-    acc = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
-                        chunk_size=SEMIGROUP_CHUNK, threads=threads)
+    (acc,) = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
+                           chunk_size=SEMIGROUP_CHUNK, threads=threads)
     mean = acc.mean
     se = acc.stderr()
     dd = d * d

@@ -59,18 +59,19 @@ def _node_rule(cfg, t_max):
 
 @functools.lru_cache(maxsize=None)
 def _recorded(mode):
-    """The S^2 Green estimate and every estimate_hess call it made."""
+    """The S^2 Green estimate and every node estimate it made."""
     m, f, x, v = _s2_case()
     cfg = HessianEstimatorConfig(sigma=SIGMA)
     calls = []
+    real = semigroup._hess_nodes
 
     def recorder(*args, **kw):
-        est = estimate_hess(*args, **kw)
-        calls.append((kw["n_paths"], kw["h"], est))
-        return est
+        ests = real(*args, **kw)
+        calls.extend(zip(kw["n_paths"], kw["h"], ests))
+        return ests
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semigroup, "estimate_hess", recorder)
+        mp.setattr(semigroup, "_hess_nodes", recorder)
         est = estimate_green_hess(m, f, x, v, v, cfg, n_paths=N_PATHS, h=H,
                                   seed=SEED, mode=mode)
     return est, calls
@@ -151,13 +152,14 @@ def test_small_path_count_runs_no_pilot(mode, value):
     m, f, x, v = _s2_case()
     cfg = HessianEstimatorConfig(sigma=SIGMA, n_nodes=12)
     calls = []
+    real = semigroup._hess_nodes
 
     def recorder(*args, **kw):
-        calls.append(kw["n_paths"])
-        return estimate_hess(*args, **kw)
+        calls.extend(kw["n_paths"])
+        return real(*args, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semigroup, "estimate_hess", recorder)
+        mp.setattr(semigroup, "_hess_nodes", recorder)
         est = estimate_green_hess(m, f, x, v, v, cfg, n_paths=64, h=0.02,
                                   seed=13, mode=mode)
     assert calls == [64] * 12
