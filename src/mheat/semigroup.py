@@ -275,15 +275,18 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     Groups walk in waves, one :class:`ChunkWalk` each, on ``threads``
     workers.  Waves take whole groups in ascending step order while the wave
     holds no more path-steps than the largest group and no more paths than
-    the widest, so no buffer outgrows the largest single walk; one set's
-    chunks therefore walk one per wave.  With ``one_wave`` every group walks
-    in one wave (Green's pilot: at most 64 paths x 16 steps per node).  A
-    wave's observe(walk) returns values whose first axis runs over the
-    walk's paths when it holds several groups.  The walk moves each group's
-    paths bitwise as a walk of that group alone would, so an observer that
-    takes each group's small products on the group's own rows (as the
-    Hessian observer does) returns bitwise the same values, at any thread
-    count.
+    the widest; one set's chunks therefore walk one per wave.  A wave's
+    state and its wave buffer of 32 steps grow with its paths, not its
+    steps, and its draws stay within about those of the largest group:
+    each group draws its whole walk when that fits in
+    ``transport._DRAW_BUDGET`` uniforms and a few 32-step blocks at a time
+    otherwise.  With ``one_wave`` every group walks in one wave (Green's
+    pilot: at most 64 paths x 16 steps per node).  A wave's observe(walk)
+    returns values whose first axis runs over the walk's paths when it
+    holds several groups.  The walk moves each group's paths bitwise as a
+    walk of that group alone would, so an observer that takes each group's
+    small products on the group's own rows (as the Hessian observer does)
+    returns bitwise the same values, at any thread count.
     """
     t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
     groups = _chunk_groups(n_paths, antithetic, chunk_size)
@@ -478,7 +481,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
             w_steps=w_steps, qT=float(q_decay_factor(m, ti))))
 
     def observe(walk):
-        groups, bounds, incs = walk.groups, walk.bounds, walk.group_increments
+        groups, bounds = walk.groups, walk.bounds
         node = [nodes[g.key] for g in groups]
         width = np.diff(bounds)
         n, live = bounds[-1], len(groups)
@@ -522,17 +525,18 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                 e = None
                 for g in range(live):
                     nd, lo, hi = node[g], bounds[g], bounds[g + 1]
+                    rows = walk.group_step(g, k)
                     if nd.kd[k] != 0.0:
                         if e is None:
                             e = np.einsum("dn,dn->n", W[:, :nl], dB)
                         IW[lo:hi] += nd.kd[k] * e[lo:hi]
-                        Iv[lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ incs[g][k])
+                        Iv[lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ rows)
                     if nd.ld[k] != 0.0:
-                        Iw[lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ incs[g][k])
+                        Iw[lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ rows)
             if k < w_steps:
                 qw_dB = np.empty(nl)
                 for g in range(live):
-                    np.matmul(node[g].qw[k], incs[g][k],
+                    np.matmul(node[g].qw[k], walk.group_step(g, k),
                               out=qw_dB[bounds[g]:bounds[g + 1]])
                 if live == 1:
                     qk, qvw, damp = tables[:, k, 0]
@@ -614,11 +618,11 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     The nodes do not walk one by one: the pilot is one batched walk of
     every node's 64 paths, and the main walks pack the nodes' chunks, in
     ascending step order, into waves that hold no more path-steps than the
-    largest chunk and no more paths than the widest, so no buffer outgrows
-    the largest single node walk (see :func:`_walk_chunks`).  The result
-    is a deterministic function of (seed, n_paths, chunk_size, cfg) at any
-    thread count; ``notes`` records the pilot and main path-steps and the
-    node count range.
+    largest chunk and no more paths than the widest, so a wave holds about
+    the draws of the largest single node walk at most (see
+    :func:`_walk_chunks`).  The result is a deterministic function of
+    (seed, n_paths, chunk_size, cfg) at any thread count; ``notes`` records
+    the pilot and main path-steps and the node count range.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even path count")

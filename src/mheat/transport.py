@@ -11,10 +11,12 @@ eigenvalue).
 The batched walk (:class:`ChunkWalk`) walks one or more groups of paths
 side by side, each with its own stream, step size and step count; a group
 that has walked its steps leaves the end of the live slice.  It stores its
-state coordinate major -- points (ambient, n), frames (d, ambient, n),
-each group's increments (n_steps, d, n) --
+state coordinate major -- points (ambient, n), frames (d, ambient, n) and
+one (32, d, n) wave buffer of increments, refilled every 32 steps --
 so every per-step operation is a whole-row numpy call over the n paths
-rather than a reduction over a length-3 inner axis.  One step is
+rather than a reduction over a length-3 inner axis; past a fixed draw
+budget no array grows with the number of steps.  The increments a walk
+yields are views of that buffer, valid until the next step.  One step is
 :meth:`ManifoldModel.walk_step`: the move along ``V = sum_i dB_i F_i`` and
 the frame transport share one evaluation of the trigonometric functions,
 and the transport is a single rank-one update because the frame components
@@ -30,9 +32,9 @@ The Hessian estimators, verify's domination check and the single-path
 
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
 sits at a fixed offset in a Philox stream keyed by the 64-bit seed, so any
-chunk of paths can be generated independently of scheduling and results are
-bitwise reproducible.  Gaussians come from inverting the normal CDF, which
-consumes exactly one uniform each.
+chunk of paths, and any block of its steps, can be generated independently
+of scheduling and results are bitwise reproducible.  Gaussians come from
+inverting the normal CDF, which consumes exactly one uniform each.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # counter-based increment generation
 
+# steps per refill of a walk's wave buffer
+_BLOCK_STEPS = 32
+# uniforms a group draws at once: its whole walk in one contiguous Philox
+# call when that fits, else as many blocks of its streams as fit, at least
+# one and at most _DRAW_BLOCKS (each path's run then costs one advance)
+_DRAW_BUDGET = 1 << 21
+_DRAW_BLOCKS = 8
+
+
 def _stream_stride(n_steps: int, d: int) -> int:
     # per-path uniform budget rounded up so path offsets are Philox blocks
     need = n_steps * d
@@ -79,23 +90,47 @@ def _stream_stride(n_steps: int, d: int) -> int:
 
 
 def increment_block(seed: int, n_steps: int, d: int, h: float,
-                    path_lo: int, path_hi: int) -> np.ndarray:
-    """Anti-development increments for paths [path_lo, path_hi).
+                    path_lo: int, path_hi: int, k0: int = 0,
+                    k1: Optional[int] = None) -> np.ndarray:
+    """Anti-development increments for paths [path_lo, path_hi) and steps
+    [k0, k1) of an ``n_steps``-step walk (default: every step).
 
-    Returns shape (n_paths, n_steps, d); each entry is Normal(0, 2h), the
-    draw for (path, step, coordinate) living at a fixed stream position.
+    Returns shape (n_paths, k1 - k0, d); each entry is Normal(0, 2h), the
+    draw for (path, step, coordinate) living at a fixed stream position, so
+    a step range is bitwise that slice of the whole walk's block.  The whole
+    walk is one contiguous Philox call.  A step range is one run of each
+    path's stream: the generator is advanced to the run of each path in
+    turn, so only the range's uniforms are held.
     """
+    k1 = n_steps if k1 is None else k1
+    if not 0 <= k0 < k1 <= n_steps:
+        raise ValueError("need a step range 0 <= k0 < k1 <= n_steps")
     n = path_hi - path_lo
     stride = _stream_stride(n_steps, d)
     bg = np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    bg.advance((path_lo * stride) // 4)
-    u = np.random.Generator(bg).random(n * stride)
-    # transformed in place: the uniforms become the increments
-    z = u.reshape(n, stride)[:, :n_steps * d]
-    z[z <= 0.0] = 2.0 ** -54
+    gen = np.random.Generator(bg)
+    if k0 == 0 and k1 == n_steps:
+        bg.advance((path_lo * stride) // 4)
+        z = gen.random(n * stride).reshape(n, stride)[:, :n_steps * d]
+    else:
+        # path p's run starts at uniform p * stride + k0 * d, inside Philox
+        # block start // 4 (4 uniforms a block; advance drops the rest of a
+        # drawn block), and the next path's run lies gap blocks further on
+        start = path_lo * stride + k0 * d
+        skip = start % 4
+        u = np.empty((n, skip + (k1 - k0) * d))
+        gap = stride // 4 - (u.shape[1] + 3) // 4
+        bg.advance(start // 4)
+        for row in u:
+            gen.random(out=row)
+            bg.advance(gap)
+        z = u[:, skip:]
+    # transformed in place: the uniforms become the increments; they are
+    # multiples of 2^-53, so the floor moves only 0, to 2^-54
+    np.maximum(z, 2.0 ** -54, out=z)
     ndtri(z, out=z)
     z *= math.sqrt(2.0 * h)
-    return z.reshape(n, n_steps, d)
+    return z.reshape(n, k1 - k0, d)
 
 
 def q_decay_factor(m: ManifoldModel, s) -> np.ndarray:
@@ -146,22 +181,17 @@ class WalkGroup(NamedTuple):
     key: int = 0
 
 
-def _group_increments(m: ManifoldModel, g: WalkGroup, antithetic: bool) -> np.ndarray:
-    """Step-major (n_steps, d, n) increments of one group, contiguous."""
-    h = float(g.t) / g.n_steps
+def _spread(zT: np.ndarray, out: np.ndarray, path_lo: int, antithetic: bool) -> None:
+    """Write step-major stream increments ``zT`` (k, d, streams) into a
+    group's (k, d, n_g) columns ``out``; with ``antithetic`` physical paths
+    2m and 2m + 1 share stream m, the odd one with flipped signs."""
     if not antithetic:
-        base = increment_block(g.seed, g.n_steps, m.dim, h, g.path_lo, g.path_hi)
-        return np.ascontiguousarray(base.transpose(1, 2, 0))
-    # physical paths 2m, 2m+1 share stream m with flipped signs
-    lo_s, hi_s = g.path_lo // 2, (g.path_hi + 1) // 2
-    base = increment_block(g.seed, g.n_steps, m.dim, h, lo_s, hi_s)
-    streams = np.arange(g.path_lo, g.path_hi) // 2 - lo_s
-    inc = np.empty((g.n_steps, m.dim, g.path_hi - g.path_lo))
-    # the indices are in range; mode="clip" lets take fill inc directly
-    # where the default mode would buffer a second full block
-    np.take(base.transpose(1, 2, 0), streams, axis=2, out=inc, mode="clip")
-    inc[:, :, (g.path_lo + 1) % 2::2] *= -1.0  # odd physical paths
-    return inc
+        out[...] = zT
+        return
+    par = path_lo % 2  # column of the first even physical path
+    even, odd = out[..., par::2], out[..., 1 - par::2]
+    even[...] = zT[..., par:par + even.shape[-1]]
+    np.negative(zT[..., :odd.shape[-1]], out=odd)
 
 
 class ChunkWalk:
@@ -181,12 +211,20 @@ class ChunkWalk:
     increments, both in fixed path order.
 
     State is held coordinate major -- points (ambient, n), frames
-    (d, ambient, n), each group's increments step major (n_steps, d, n) in
-    ``group_increments`` -- so that each step is one
-    :meth:`ManifoldModel.walk_step` of whole-row operations.  ``points``
-    (n, ambient), ``frames`` (n, d, ambient) and ``increments``
-    (n, n_steps, d) are transposed views of that state, and the (n, d)
-    increments yielded per step are views whose ``.T`` is contiguous.
+    (d, ambient, n) -- so that each step is one
+    :meth:`ManifoldModel.walk_step` of whole-row operations; ``points``
+    (n, ambient) and ``frames`` (n, d, ambient) are transposed views of it.
+    Increments arrive in blocks of ``_BLOCK_STEPS`` steps through one
+    (B, d, n) wave buffer: at each block's first step every live group
+    writes its columns, transposed from its path-major draw and
+    sign-interleaved for antithetic pairs.  A group whose whole draw fits
+    in ``_DRAW_BUDGET`` uniforms draws it in one call and keeps it while it
+    walks; a larger group draws a few blocks of its streams at a time, so
+    its memory does not grow with the horizon.  The (n_live, d) increments
+    yielded per step and the (d, n_g) rows of :meth:`group_step` are views
+    of the buffer, valid only until the next step.  ``increments`` and
+    ``group_increments`` draw every step again on demand, for tests and
+    single paths.
     """
 
     def __init__(self, m: ManifoldModel, x0: np.ndarray, t: Optional[float] = None,
@@ -210,7 +248,10 @@ class ChunkWalk:
         for g in self.groups:
             self.bounds.append(self.bounds[-1] + g.path_hi - g.path_lo)
         n = self.bounds[-1]
-        self.group_increments = [_group_increments(m, g, antithetic) for g in self.groups]
+        self._antithetic = antithetic
+        self._drawn = [(0, None)] * len(self.groups)  # (first step, draw)
+        self._buf = np.empty((min(_BLOCK_STEPS, self.n_steps), m.dim, n))
+        self._k0 = -1  # first step of the block in the buffer
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 2:
             if x0.shape[0] != n:
@@ -223,7 +264,6 @@ class ChunkWalk:
             self._F = np.repeat(f0[:, :, None], n, axis=2)
         self.n_paths = n
         self._live = len(self.groups)
-        self._row_k, self._row = -1, None
 
     @property
     def points(self) -> np.ndarray:
@@ -234,8 +274,20 @@ class ChunkWalk:
         return self._F.transpose(2, 0, 1)
 
     @property
+    def group_increments(self) -> list:
+        """Step-major (n_steps, d, n_g) increments of every group, drawn
+        again on demand."""
+        out = []
+        for g, grp in enumerate(self.groups):
+            inc = np.empty((grp.n_steps, self.m.dim, grp.path_hi - grp.path_lo))
+            _spread(self._draw(g).transpose(1, 2, 0), inc, grp.path_lo,
+                    self._antithetic)
+            out.append(inc)
+        return out
+
+    @property
     def increments(self) -> np.ndarray:
-        """(n, n_steps, d) increments of a one-group walk."""
+        """(n, n_steps, d) increments of a one-group walk, drawn again."""
         (inc,) = self.group_increments
         return inc.transpose(2, 0, 1)
 
@@ -249,6 +301,14 @@ class ChunkWalk:
         F = np.ascontiguousarray(self._F[..., lo:hi])
         return P.T, F.transpose(2, 0, 1)
 
+    def group_step(self, g: int, k: int) -> np.ndarray:
+        """(d, n_g) increments of group g at step k, a view of the wave
+        buffer: valid from the yield of step k until the next step."""
+        j = k % len(self._buf)
+        if k - j != self._k0:
+            raise ValueError(f"step {k} is not in the wave buffer")
+        return self._buf[j, :, self.bounds[g]:self.bounds[g + 1]]
+
     def _live_groups(self, k: int) -> int:
         """Number of groups that walk step k (steps run in order)."""
         g = self._live
@@ -257,15 +317,58 @@ class ChunkWalk:
         self._live = g
         return g
 
+    def _streams(self, g: int):
+        """Stream range [lo, hi) of group g's paths."""
+        grp = self.groups[g]
+        if self._antithetic:
+            return grp.path_lo // 2, (grp.path_hi + 1) // 2
+        return grp.path_lo, grp.path_hi
+
+    def _draw(self, g: int, k0: int = 0, k1: Optional[int] = None) -> np.ndarray:
+        """Path-major (streams, k1 - k0, d) increments of group g; without a
+        step range, of its whole walk."""
+        grp = self.groups[g]
+        return increment_block(grp.seed, grp.n_steps, self.m.dim,
+                               float(grp.t) / grp.n_steps, *self._streams(g), k0, k1)
+
+    def _drawn_steps(self, g: int, k0: int, k1: int) -> np.ndarray:
+        """Steps [k0, k1) of group g from its current draw, drawing the
+        next one when they lie outside it."""
+        s0, z = self._drawn[g]
+        if z is None or k0 < s0 or k1 > s0 + z.shape[1]:
+            self._drawn[g], z = (0, None), None  # release the spent draw first
+            grp = self.groups[g]
+            lo, hi = self._streams(g)
+            d = self.m.dim
+            if (hi - lo) * _stream_stride(grp.n_steps, d) <= _DRAW_BUDGET:
+                s0, z = 0, self._draw(g)
+            else:
+                # a block of every stream is _BLOCK_STEPS * d uniforms each
+                fit = _DRAW_BUDGET // ((hi - lo) * _BLOCK_STEPS * d)
+                span = _BLOCK_STEPS * min(_DRAW_BLOCKS, max(1, fit))
+                s0, z = k0, self._draw(g, k0, min(k0 + span, grp.n_steps))
+            self._drawn[g] = (s0, z)
+        return z[:, k0 - s0:k1 - s0]
+
+    def _refill(self, k0: int) -> None:
+        """Fill the wave buffer from step k0 for every group that walks it."""
+        live = self._live_groups(k0)
+        self._drawn[live:] = [(0, None)] * (len(self.groups) - live)
+        for g in range(live):
+            grp = self.groups[g]
+            k1 = min(k0 + len(self._buf), grp.n_steps)
+            out = self._buf[:k1 - k0, :, self.bounds[g]:self.bounds[g + 1]]
+            _spread(self._drawn_steps(g, k0, k1).transpose(1, 2, 0), out,
+                    grp.path_lo, self._antithetic)
+        self._k0 = k0
+
     def _increments(self, k: int) -> np.ndarray:
         """(d, n_live) increments of step k for the groups that walk it."""
         live = self._live_groups(k)
-        if live == 1:
-            return self.group_increments[0][k]
-        if self._row_k != k:
-            self._row_k, self._row = k, np.concatenate(
-                [inc[k] for inc in self.group_increments[:live]], axis=1)
-        return self._row
+        j = k % len(self._buf)
+        if k - j != self._k0:
+            self._refill(k - j)
+        return self._buf[j, :, :self.bounds[live]]
 
     def step(self, k: int) -> None:
         """Advance every path that walks step k."""
@@ -283,8 +386,8 @@ class ChunkWalk:
 
     def steps(self):
         """Yield (k, increments) with the walk state at the left node; the
-        increments cover the live paths, and the move executes when the
-        generator resumes."""
+        increments cover the live paths and are valid until the next step,
+        and the move executes when the generator resumes."""
         for k in range(self.n_steps):
             yield k, self._increments(k).T
             self.step(k)
