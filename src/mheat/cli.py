@@ -347,6 +347,18 @@ def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
             raise ValueError("p must exceed 1 for czscan")
         if m.kind not in ("torus", "sphere"):
             raise ConfigError("czscan runs on the torus or the unit sphere")
+        if m.kind == "sphere" and m.dim != 2:
+            raise ValueError("dim must be 2 for czscan on the sphere")
+        if m.kind == "sphere" and m.radius != 1.0:
+            raise ValueError("radius must be 1 for czscan on the sphere")
+        if m.kind == "torus" and m.dim != 2 and pval == 2.0:
+            raise ValueError("dim must be 2 for czscan on the torus at p = 2 "
+                             "(its Bochner residual is for the 2-torus)")
+        if int(p.get("degree", 8)) < 1:
+            raise ValueError("degree must be at least 1")
+        sizes = p.get("family_sizes", [50, 200])
+        if not isinstance(sizes, list) or not sizes or min(int(n) for n in sizes) < 1:
+            raise ValueError("family_sizes must be a non-empty list of positive sizes")
     elif cfg.kind == "simulate":
         if float(p.get("t", 1.0)) <= 0:
             raise ValueError("t must be positive")

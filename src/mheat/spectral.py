@@ -5,11 +5,13 @@ Hermitian coefficients; all derivatives and resolvents act mode by mode.
 Sphere fields are combinations of spherical harmonics realized as harmonic
 homogeneous polynomials in ambient coordinates, so tangential gradients and
 Hessians come from exact polynomial differentiation plus the second
-fundamental form, with no special-function code.  Evaluation is blocked by
-degree: each level's harmonics are a coefficient block over that degree's
-monomials, the ambient partial derivatives are small integer matrices
-lowering the degree by one, and node values are products of those blocks
-with one node-monomial matrix per degree.
+fundamental form, with no special-function code.  Everything is blocked by
+degree and built from matrix products: each level's harmonics are one
+coefficient block B_ell over that degree's monomials (``harmonic_basis``),
+the ambient partial derivatives are small integer matrices lowering the
+degree by one, B_ell spans the nullspace of their Laplacian and is
+orthonormalized with a quadrature Gram matrix, and node values are products
+of those blocks with one node-monomial matrix per degree.
 
 Laplacians carry the positive-operator sign everywhere (eigenvalue ``|k|^2``
 on the torus, ``l (l + 1)`` on the unit sphere).
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import List, Optional
 
 import numpy as np
 
@@ -111,6 +114,8 @@ def _full_lattice(degree: int, dim: int) -> np.ndarray:
 def random_trig_polynomials(m: Torus, degree: int, count: int,
                             rng: np.random.Generator) -> List[TrigPolynomial]:
     """Random real band-limited fields, |k|_inf <= degree, zero mean."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     K = _full_lattice(degree, m.dim)
     # pick one representative per +-k pair for independent draws
     rep = K[np.lexsort(K.T[::-1])]
@@ -153,60 +158,6 @@ def torus_bochner_residual(u: TrigPolynomial) -> float:
 # ---------------------------------------------------------------------------
 # sphere: harmonic polynomial fields
 
-@dataclass
-class Poly3:
-    """Polynomial in three ambient variables as monomial exponent rows."""
-
-    exps: np.ndarray    # (M, 3) int
-    coeffs: np.ndarray  # (M,)
-
-    @staticmethod
-    def zero() -> "Poly3":
-        return Poly3(np.zeros((0, 3), dtype=int), np.zeros(0))
-
-    def compact(self) -> "Poly3":
-        if len(self.coeffs) == 0:
-            return self
-        order = np.lexsort(self.exps.T)
-        e = self.exps[order]
-        c = self.coeffs[order]
-        uniq, idx = np.unique(e, axis=0, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, idx, c)
-        keep = np.abs(merged) > 1e-15 * max(1.0, float(np.max(np.abs(merged), initial=0.0)))
-        return Poly3(uniq[keep], merged[keep])
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        if len(self.coeffs) == 0:
-            return np.zeros(X.shape[0])
-        powers = X[:, None, :] ** self.exps[None, :, :]
-        return np.prod(powers, axis=2) @ self.coeffs
-
-    def diff(self, axis: int) -> "Poly3":
-        mask = self.exps[:, axis] > 0
-        e = self.exps[mask].copy()
-        c = self.coeffs[mask] * e[:, axis]
-        e[:, axis] -= 1
-        return Poly3(e, c).compact()
-
-    def lap_ambient(self) -> "Poly3":
-        out = Poly3.zero()
-        for ax in range(3):
-            out = out + self.diff(ax).diff(ax)
-        return out.compact()
-
-    def __add__(self, other: "Poly3") -> "Poly3":
-        return Poly3(np.concatenate([self.exps, other.exps]),
-                     np.concatenate([self.coeffs, other.coeffs])).compact()
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return Poly3(self.exps, self.coeffs * other)
-        e = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(-1, 3)
-        c = (self.coeffs[:, None] * other.coeffs[None, :]).ravel()
-        return Poly3(e, c).compact()
-
-
 def _monomials(degree: int) -> np.ndarray:
     """Exponent rows (i, j, degree - i - j) in order; none below degree 0."""
     out = []
@@ -220,63 +171,6 @@ def _monomial_index(exps: np.ndarray, degree: int) -> np.ndarray:
     """Row of each degree-``degree`` exponent triple in ``_monomials(degree)``."""
     i, j = exps[:, 0], exps[:, 1]
     return i * (degree + 1) - i * (i - 1) // 2 + j
-
-
-_BASIS_CACHE: Dict[int, List[Poly3]] = {}
-
-
-def harmonic_basis(ell: int) -> List[Poly3]:
-    """Orthonormal (in L2 of the unit sphere) solid harmonics of degree ell.
-
-    Constructed from the nullspace of the ambient Laplacian on homogeneous
-    degree-ell polynomials, then orthonormalized with an exact quadrature
-    Gram matrix; dimension 2 ell + 1.
-    """
-    if ell in _BASIS_CACHE:
-        return _BASIS_CACHE[ell]
-    mono = _monomials(ell)
-    nm = len(mono)
-    if ell >= 2:
-        tgt = _monomials(ell - 2)
-        index = {tuple(e): i for i, e in enumerate(tgt)}
-        A = np.zeros((len(tgt), nm))
-        for col, e in enumerate(mono):
-            for ax in range(3):
-                if e[ax] >= 2:
-                    e2 = e.copy()
-                    e2[ax] -= 2
-                    A[index[tuple(e2)], col] += e[ax] * (e[ax] - 1)
-        _, s, vt = np.linalg.svd(A)
-        null_dim = nm - int(np.sum(s > 1e-10 * s[0]))
-        basis_vecs = vt[nm - null_dim:]
-    else:
-        basis_vecs = np.eye(nm)
-    polys = [Poly3(mono, v).compact() for v in basis_vecs]
-    assert len(polys) == 2 * ell + 1, "harmonic space has dimension 2l + 1"
-
-    from .oracle import quadrature_grid
-    grid = quadrature_grid(Sphere(2, 1.0), max(ell + 2, 6))
-    V = np.stack([p.values(grid.nodes) for p in polys], axis=1)
-    G = V.T @ (grid.weights[:, None] * V)
-    w, vec = np.linalg.eigh(G)
-    T = vec @ np.diag(1.0 / np.sqrt(w)) @ vec.T
-    ortho = []
-    for col in range(len(polys)):
-        q = Poly3.zero()
-        for row in range(len(polys)):
-            q = q + polys[row] * T[row, col]
-        ortho.append(q.compact())
-    _BASIS_CACHE[ell] = ortho
-    return ortho
-
-
-def _basis_block(ell: int) -> np.ndarray:
-    """``harmonic_basis(ell)`` as columns over ``_monomials(ell)``: B_ell."""
-    basis = harmonic_basis(ell)
-    B = np.zeros((len(_monomials(ell)), len(basis)))
-    for col, p in enumerate(basis):
-        B[_monomial_index(p.exps, ell), col] = p.coeffs
-    return B
 
 
 def _diff_matrix(degree: int, axis: int) -> np.ndarray:
@@ -303,6 +197,37 @@ def _monomial_matrix(powers: np.ndarray, degree: int) -> np.ndarray:
     """M_degree: node values of ``_monomials(degree)``, (n, #monomials)."""
     e = _monomials(degree)
     return powers[0][:, e[:, 0]] * powers[1][:, e[:, 1]] * powers[2][:, e[:, 2]]
+
+
+@lru_cache(maxsize=None)
+def harmonic_basis(ell: int) -> np.ndarray:
+    """B_ell: the degree-ell spherical harmonics as coefficient columns.
+
+    Returns a read-only (#monomials(ell), 2 ell + 1) array whose columns are
+    homogeneous harmonic polynomials over ``_monomials(ell)``, orthonormal in
+    L2 of the unit 2-sphere.  The columns span the nullspace of the integer
+    ambient Laplacian sum_a D_a D_a on degree-ell coefficients and are
+    orthonormalized with the Gram matrix of a quadrature grid that is exact
+    for degree 2 ell.  Each level is built once per process and cached.
+    """
+    nm = len(_monomials(ell))
+    if ell >= 2:
+        A = sum(_diff_matrix(ell - 1, a) @ _diff_matrix(ell, a) for a in range(3))
+        _, s, vt = np.linalg.svd(A)
+        null_dim = nm - int(np.sum(s > 1e-10 * s[0]))
+        N = vt[nm - null_dim:].T
+    else:
+        N = np.eye(nm)
+    assert N.shape[1] == 2 * ell + 1, "harmonic space has dimension 2l + 1"
+
+    from .oracle import quadrature_grid
+    grid = quadrature_grid(Sphere(2, 1.0), max(ell + 2, 6))
+    V = _monomial_matrix(_coordinate_powers(grid.nodes, ell), ell) @ N
+    G = V.T @ (grid.weights[:, None] * V)
+    w, vec = np.linalg.eigh(G)
+    B = N @ (vec @ np.diag(1.0 / np.sqrt(w)) @ vec.T)
+    B.flags.writeable = False
+    return B
 
 
 def _harmonic_level(X, powers, ell, C, grads=False, frames=None):
@@ -343,7 +268,7 @@ class SphericalPolynomial:
         """Per level: ell and ``_harmonic_level`` of the one column B_ell @ cvec."""
         powers = _coordinate_powers(X, max((ell for ell, _ in self.terms), default=0))
         for ell, cvec in self.terms:
-            C = (_basis_block(ell) @ cvec)[:, None]
+            C = (harmonic_basis(ell) @ cvec)[:, None]
             yield ell, _harmonic_level(X, powers, ell, C, grads, frames)
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -397,6 +322,8 @@ def random_spherical_polynomials(m: Sphere, degree: int, count: int,
                                  rng: np.random.Generator) -> List[SphericalPolynomial]:
     if m.dim != 2 or abs(m.radius - 1.0) > 0:
         raise ValueError("spectral sphere fields require the unit 2-sphere")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     out = []
     for _ in range(count):
         terms = []
@@ -442,7 +369,7 @@ class SphereHarmonicTables:
         powers = _coordinate_powers(X, lmax)
         for ell in levels:
             cols = slice(ell * ell, (ell + 1) ** 2)
-            vals, G, H = _harmonic_level(X, powers, ell, _basis_block(ell),
+            vals, G, H = _harmonic_level(X, powers, ell, harmonic_basis(ell),
                                          with_derivs, frames)
             self.values[:, cols] = vals
             if with_derivs:

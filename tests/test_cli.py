@@ -84,6 +84,41 @@ family_sizes = [5, 10]
         assert abs(float(row["hess_over_lap"]) - 1.0) < 1e-10
 
 
+CZSCAN_CFG = """
+kind = "czscan"
+seed = 11
+out_dir = "{out}"
+
+[manifold]
+kind = "{kind}"
+dim = {dim}
+radius = {radius}
+
+[czscan]
+p = 2.0
+degree = {degree}
+family_sizes = {sizes}
+"""
+
+
+@pytest.mark.parametrize("kind,dim,radius,degree,sizes,line", [
+    ("sphere", 2, 2.0, 4, "[5, 10]", 9),    # not the unit sphere
+    ("sphere", 3, 1.0, 4, "[5, 10]", 8),    # not the 2-sphere
+    ("sphere", 2, 1.0, 0, "[5, 10]", 13),   # no harmonic terms
+    ("torus", 2, 1.0, 4, "[]", 14),         # no family to scan
+    ("torus", 3, 1.0, 1, "[5, 10]", 8),     # Bochner residual is 2-torus only
+], ids=["sphere-radius", "sphere-dim", "degree-0", "no-sizes", "torus-dim-p2"])
+def test_czscan_unrunnable_config_is_config_error(tmp_path, kind, dim, radius,
+                                                  degree, sizes, line):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, CZSCAN_CFG.format(out=out, kind=kind, dim=dim, radius=radius,
+                                            degree=degree, sizes=sizes))
+    with pytest.raises(ConfigError, match=rf":{line}: "):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not out.exists()
+
+
 def test_gamma_constraint_rejected(tmp_path):
     cfg = write(tmp_path, """
 kind = "verify"

@@ -1,4 +1,4 @@
-"""Level-blocked spherical-harmonic evaluation against per-basis Poly3 loops."""
+"""Level-blocked spherical-harmonic evaluation against per-basis reference loops."""
 
 import math
 
@@ -12,6 +12,7 @@ from mheat.oracle import QuadratureGrid, quadrature_grid
 from mheat.spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
+    _monomials,
     harmonic_basis,
     random_spherical_polynomials,
     sphere_bochner_residual,
@@ -21,25 +22,39 @@ from mheat.verify import cz_scan
 S2 = Sphere(2, 1.0)
 
 
-def _poly_fields(p, ell, X, frames):
-    # one harmonic basis polynomial by Poly3 differentiation and evaluation
-    vals = p.values(X)
-    amb = np.stack([p.diff(a).values(X) for a in range(3)], axis=1)
-    D2 = np.zeros((X.shape[0], 3, 3))
+def _poly_values(exps, C, X):
+    # node values of the polynomials with coefficient columns C over exps
+    return np.prod(X[:, None, :] ** exps[None], axis=2) @ C
+
+
+def _poly_diff(exps, C, axis):
+    # d/dx_axis by an exponent shift
+    keep = exps[:, axis] > 0
+    lower = exps[keep].copy()
+    lower[:, axis] -= 1
+    return lower, C[keep] * exps[keep, axis][:, None]
+
+
+def _poly_fields(ell, X, frames):
+    # the degree-ell harmonic basis, column by column, from exponent shifts
+    exps, C = _monomials(ell), harmonic_basis(ell)
+    vals = _poly_values(exps, C, X)
+    amb = np.stack([_poly_values(*_poly_diff(exps, C, a), X) for a in range(3)], axis=1)
+    D2 = np.zeros((X.shape[0], 3, 3, C.shape[1]))
     for a in range(3):
-        pa = p.diff(a)
+        da = _poly_diff(exps, C, a)
         for b in range(a, 3):
-            vv = pa.diff(b).values(X)
+            vv = _poly_values(*_poly_diff(*da, b), X)
             D2[:, a, b] = vv
             D2[:, b, a] = vv
-    Hf = np.einsum("nia,nab,njb->nij", frames, D2, frames)
-    return vals, amb - ell * vals[:, None] * X, Hf - ell * vals[:, None, None] * np.eye(2)
+    Hf = np.einsum("nia,nabk,njb->nijk", frames, D2, frames)
+    return (vals, amb - ell * vals[:, None, :] * X[:, :, None],
+            Hf - ell * vals[:, None, None, :] * np.eye(2)[None, :, :, None])
 
 
 def _tables_loop(grid, lmax):
-    cols = [_poly_fields(p, ell, grid.nodes, grid.frames(S2))
-            for ell in range(lmax + 1) for p in harmonic_basis(ell)]
-    return tuple(np.stack(c, axis=-1) for c in zip(*cols))
+    cols = [_poly_fields(ell, grid.nodes, grid.frames(S2)) for ell in range(lmax + 1)]
+    return tuple(np.concatenate(c, axis=-1) for c in zip(*cols))
 
 
 def _random_node_grid(n, seed):
@@ -83,17 +98,16 @@ def test_spherical_polynomial_matches_per_basis_sum(levels, n_zero, seed):
     frames = S2.frame(X)
     want = [np.zeros(20), np.zeros((20, 3)), np.zeros((20, 2, 2)), np.zeros(20)]
     for ell, cvec in terms:
-        for c, p in zip(cvec, harmonic_basis(ell)):
-            f, g, h = _poly_fields(p, ell, X, frames)
-            for acc, term in zip(want, (f, g, h, ell * (ell + 1) * f)):
-                acc += c * term
+        f, g, h = _poly_fields(ell, X, frames)
+        for acc, term in zip(want, (f, g, h, ell * (ell + 1) * f)):
+            acc += term @ cvec
     got = [u.values(X), u.grad_values(X), u.hess_values(X, frames), u.lap_values(X)]
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
 
 
-# golden values computed with per-basis Poly3 evaluation (relative 1e-12)
+# golden values computed with per-basis polynomial evaluation (relative 1e-12)
 CZSCAN_S2_GOLDEN = {
     0: (0.5052179057904707, 0.7748454712977857, 0.7442706222119558),
     1: (0.566644050432622, 0.7753969052866493, 0.7506656899791688),

@@ -10,6 +10,7 @@ from mheat.oracle import lp_norm, quadrature_grid
 from mheat.spectral import (
     SphericalPolynomial,
     TrigPolynomial,
+    _monomials,
     harmonic_basis,
     random_spherical_polynomials,
     random_trig_polynomials,
@@ -75,12 +76,25 @@ def test_torus_bochner_residual_pointwise():
 # ---------------------------------------------------------------------------
 # sphere harmonics from polynomial algebra
 
+def _poly_values(exps, C, X):
+    # node values of the polynomials with coefficient columns C over exps
+    return np.prod(X[:, None, :] ** exps[None], axis=2) @ C
+
+
+def _poly_diff(exps, C, axis):
+    # d/dx_axis by an exponent shift
+    keep = exps[:, axis] > 0
+    lower = exps[keep].copy()
+    lower[:, axis] -= 1
+    return lower, C[keep] * exps[keep, axis][:, None]
+
+
 def test_harmonic_basis_dimensions_and_orthonormality():
     grid = quadrature_grid(Sphere(2, 1.0), 24)
-    for ell in [1, 2, 3, 5]:
+    for ell in [1, 2, 3, 5, 8, 12, 16]:
         basis = harmonic_basis(ell)
-        assert len(basis) == 2 * ell + 1
-        V = np.stack([p.values(grid.nodes) for p in basis], axis=1)
+        assert basis.shape == (len(_monomials(ell)), 2 * ell + 1)
+        V = _poly_values(_monomials(ell), basis, grid.nodes)
         G = V.T @ (grid.weights[:, None] * V)
         assert np.max(np.abs(G - np.eye(2 * ell + 1))) < 1e-10
 
@@ -89,9 +103,18 @@ def test_harmonic_ambient_laplacian_vanishes():
     g = rng()
     X = g.standard_normal((20, 3))
     for ell in [2, 4]:
-        for p in harmonic_basis(ell)[:3]:
-            lap = p.lap_ambient().values(X)
-            assert np.max(np.abs(lap)) < 1e-9
+        exps, C = _monomials(ell), harmonic_basis(ell)[:, :3]
+        lap = sum(_poly_values(*_poly_diff(*_poly_diff(exps, C, a), a), X)
+                  for a in range(3))
+        assert np.max(np.abs(lap)) < 1e-9
+
+
+def test_random_fields_need_degree_one():
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree"):
+            random_trig_polynomials(Torus(2), degree, 3, rng())
+        with pytest.raises(ValueError, match="degree"):
+            random_spherical_polynomials(Sphere(2, 1.0), degree, 3, rng())
 
 
 def test_spherical_polynomial_eigen_action():
