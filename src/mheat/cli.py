@@ -68,6 +68,7 @@ from .semigroup import (
 from .spectral import random_spherical_polynomials, random_trig_polynomials
 from .transport import _grid_steps, q_decay_factor
 from .verify import (
+    MIN_STAT_PATHS,
     BoundCheckConfig,
     BoundReport,
     _kato_grid,
@@ -330,6 +331,9 @@ def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
             raise ValueError("p must be >= 2 for the gaffney check")
         if check == "kato":
             _kato_grid(_kato_t_list(p), cfg.h)
+        if check in ("semigroup-bounds", "kato") and cfg.n_paths < MIN_STAT_PATHS:
+            raise ValueError(f"n_paths must be at least {MIN_STAT_PATHS} "
+                             f"for the statistical check {check!r}")
     elif cfg.kind == "estimate":
         op = p.get("op")
         if op not in ("pt", "grad", "hess", "green-hess"):
@@ -341,6 +345,9 @@ def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
             raise ConfigError("mode must be bismut | mixed")
         if float(p.get("t", 0.5)) <= 0:
             raise ValueError("t must be positive")
+        if bool(p.get("antithetic", True)) and cfg.n_paths % 2:
+            raise ValueError("n_paths must be even for antithetic estimation "
+                             "(set antithetic = false for an odd count)")
     elif cfg.kind == "czscan":
         pval = float(p.get("p", 2.0))
         if pval <= 1:

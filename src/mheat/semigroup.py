@@ -428,17 +428,17 @@ class _HessNode:
     kd: np.ndarray      # kdot and ldot at the left nodes
     ld: np.ndarray
     damp: float         # Ricci damping of W per step
-    qw: np.ndarray      # (n_steps, d) rows qvals[k] * wbar
-    qvw: np.ndarray     # <qvals[k] vbar, qvals[k] wbar> for k < w_steps
+    qw: np.ndarray      # (n_steps, P, d) rows qvals[k] * wbar[p]
+    qvw: np.ndarray     # (w_steps, P) <qvals[k] vbar[p], qvals[k] wbar[p]>
     w_steps: int        # steps whose W update is ever read
     qT: float           # transport factor at the horizon
 
 
-def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
-                w: TangentVector, cfg: Optional[HessianEstimatorConfig],
-                mode: str, *, t, h, seed, n_paths, antithetic: bool = True,
-                chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
-                one_wave: bool = False):
+def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
+                cfg: Optional[HessianEstimatorConfig], mode: str, *, t, h, seed,
+                n_paths, antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
+                threads: Optional[int] = None, one_wave: bool = False,
+                moments: bool = False):
     """Hess P_t f(v, w)(x) at several horizons, one McEstimate per node.
 
     Node i walks ``n_paths[i]`` paths of stream ``seed[i]`` over
@@ -448,6 +448,13 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     small products with its increments are taken on that group's own rows,
     so each estimate is bitwise what a call for that node alone returns.
     Variance-dominated estimates carry a note and no warning.
+
+    ``v`` and ``w`` are one pair of tangent vectors at x, whose estimates
+    are scalars, or a stack of P pairs given as (P, d) components in the
+    frame at x, whose estimates have one entry per pair; W then holds one
+    (d, n) block per pair.  With ``moments`` (a stack in mixed mode) each
+    path's samples go on with |f|^2, |df|^2 and |Hess f|_HS^2 at its
+    endpoint and the P x P Gram matrix of its W_t(v_p, w_p), row major.
     """
     if mode not in ("bismut", "mixed"):
         raise ValueError("mode must be 'bismut' or 'mixed'")
@@ -456,7 +463,12 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
     cfg = cfg or HessianEstimatorConfig()
     d = m.dim
     kappa = m.sectional_curvature
-    vbar, wbar = _vw_components(m, x, v, w)
+    one_pair = isinstance(v, TangentVector)
+    if one_pair:
+        vbar, wbar = (c[None] for c in _vw_components(m, x, v, w))
+    else:
+        vbar, wbar = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    P = len(vbar)
     nodes = []
     for ti, hi in zip(t, h):
         if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
@@ -465,7 +477,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
         svals = np.arange(n_steps) * hi
         qvals = q_decay_factor(m, svals)
         kd = np.array([cfg.kdot(float(s), ti) for s in svals])
-        qv, qw = qvals[:, None] * vbar, qvals[:, None] * wbar
+        qv, qw = qvals[:, None, None] * vbar, qvals[:, None, None] * wbar
         if kappa == 0.0:
             w_steps = 0  # W stays 0
         elif mode == "mixed":
@@ -477,7 +489,8 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
             qvals=qvals, kd=kd,
             ld=np.array([cfg.ldot(float(s), ti) for s in svals]),
             damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
-            qvw=np.array([np.dot(a, b) for a, b in zip(qv[:w_steps], qw)]),
+            qvw=np.array([[np.dot(a, b) for a, b in zip(*ab)]
+                          for ab in zip(qv[:w_steps], qw)]).reshape(w_steps, P),
             w_steps=w_steps, qT=float(q_decay_factor(m, ti))))
 
     def observe(walk):
@@ -485,17 +498,18 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
         node = [nodes[g.key] for g in groups]
         width = np.diff(bounds)
         n, live = bounds[-1], len(groups)
-        # coefficient tables (step, group), spread over a group's columns
-        tables = np.zeros((3, walk.n_steps, live))
+        # coefficient tables (row, step, group), spread over a group's
+        # columns: the transport factor, the damping, <qv, qw> per pair
+        tables = np.zeros((2 + P, walk.n_steps, live))
         for g, nd in enumerate(node):
             tables[0, :len(nd.qvals), g] = nd.qvals
-            tables[1, :nd.w_steps, g] = nd.qvw
-        tables[2] = [nd.damp for nd in node]
+            tables[1, :, g] = nd.damp
+            tables[2:, :nd.w_steps, g] = nd.qvw.T
         w_steps = max(nd.w_steps for nd in node)
-        W = np.zeros((d, n))
+        W = np.zeros((P, d, n))
         if mode == "bismut":
-            IW, Iv, Iw = np.zeros(n), np.zeros(n), np.zeros(n)
-        vals = np.empty(n)
+            IW, Iv, Iw = np.zeros((P, n)), np.zeros((P, n)), np.zeros((P, n))
+        vals = np.empty((n, P + (3 + P * P if moments else 0)))
 
         def finish(g):
             # the group walked its last step: observe it on its own columns
@@ -503,17 +517,24 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
             points, frames = walk.group_state(g)
             if mode == "bismut":
                 fv = f.eval_fn(points)
-                vg = -0.5 * fv * IW[lo:hi] + 0.25 * fv * Iw[lo:hi] * Iv[lo:hi]
+                vg = (-0.5 * fv * IW[:, lo:hi]
+                      + 0.25 * fv * Iw[:, lo:hi] * Iv[:, lo:hi]).T
             else:
                 qT = node[g].qT
                 H = f.hess_fn(points, frames)
-                term1 = qT * qT * np.einsum("nij,i,j->n", H, vbar, wbar)
+                term1 = qT * qT * np.einsum("nij,pi,pj->np", H, vbar, wbar)
                 gc = frame_components(m, frames, f.grad_fn(points))
-                Wg = np.ascontiguousarray(W[:, lo:hi])
-                vg = term1 + np.einsum("nd,dn->n", gc, Wg)
+                Wg = np.ascontiguousarray(W[..., lo:hi])
+                vg = term1 + np.einsum("nd,pdn->np", gc, Wg)
             if not np.all(np.isfinite(vg)):
                 raise FloatingPointError("non-finite Hessian sample")
-            vals[lo:hi] = vg
+            vals[lo:hi, :P] = vg
+            if moments:
+                vals[lo:hi, P] = f.eval_fn(points) ** 2
+                vals[lo:hi, P + 1] = np.sum(gc * gc, axis=1)
+                vals[lo:hi, P + 2] = np.sum(H * H, axis=(1, 2))
+                vals[lo:hi, P + 3:] = np.einsum(
+                    "adn,bdn->nab", Wg, Wg).reshape(hi - lo, P * P)
 
         for k, dB in walk.steps():
             while groups[live - 1].n_steps == k:
@@ -528,24 +549,25 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                     rows = walk.group_step(g, k)
                     if nd.kd[k] != 0.0:
                         if e is None:
-                            e = np.einsum("dn,dn->n", W[:, :nl], dB)
-                        IW[lo:hi] += nd.kd[k] * e[lo:hi]
-                        Iv[lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ rows)
+                            e = np.einsum("pdn,dn->pn", W[..., :nl], dB)
+                        IW[:, lo:hi] += nd.kd[k] * e[:, lo:hi]
+                        Iv[:, lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ rows)
                     if nd.ld[k] != 0.0:
-                        Iw[lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ rows)
+                        Iw[:, lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ rows)
             if k < w_steps:
-                qw_dB = np.empty(nl)
+                qw_dB = np.empty((P, nl))
                 for g in range(live):
                     np.matmul(node[g].qw[k], walk.group_step(g, k),
-                              out=qw_dB[bounds[g]:bounds[g + 1]])
+                              out=qw_dB[:, bounds[g]:bounds[g + 1]])
                 if live == 1:
-                    qk, qvw, damp = tables[:, k, 0]
+                    coef = tables[:, k, :1]
                 else:
-                    qk, qvw, damp = np.repeat(tables[:, k, :live], width[:live], axis=1)
-                W = w_update(m, W[:, :nl], dB, vbar[:, None] * qk, qvw, qw_dB, damp)
+                    coef = np.repeat(tables[:, k, :live], width[:live], axis=1)
+                W = w_update(m, W[..., :nl], dB, vbar[..., None] * coef[0],
+                             coef[2:, None], qw_dB[:, None], coef[1])
         for g in range(live):
             finish(g)
-        return vals
+        return vals[:, 0] if one_pair else vals
 
     accs = _walk_moments(m, np.asarray(x.coords), t, [len(nd.qvals) for nd in nodes],
                          seed, n_paths, observe, antithetic=antithetic,

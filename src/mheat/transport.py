@@ -22,12 +22,12 @@ the frame transport share one evaluation of the trigonometric functions,
 and the transport is a single rank-one update because the frame components
 of the unit step direction are ``dB / |V|`` (the frame is orthonormal).
 
-The curvature process W_t(v, w) has one recursion, :func:`w_step`, which
-advances a chunk of paths and optionally a batch of (v, w) pairs at once;
-its update from the inner products, :func:`w_update`, also takes a step
-size and transport factor per path, for a walk of several groups.
-The Hessian estimators, verify's domination check and the single-path
-:func:`w_process` all call it; only the curvature-package oracles
+The curvature process W_t(v, w) has one recursion: :func:`w_update` steps
+it from the inner products <Qv, Qw> and <Qw, dB>, which may be per path
+(a walk of several groups) and per (v, w) pair.  The Hessian observer of
+:mod:`mheat.semigroup`, which also serves verify's domination check, calls
+it directly; :func:`w_step` takes the products for one pair and serves the
+single-path :func:`w_process`.  Only the curvature-package oracles
 (``*_generic``) compute W another way.
 
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
@@ -496,17 +496,14 @@ def w_step(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
            qv: np.ndarray, qw: np.ndarray, damp: float) -> np.ndarray:
     """One step of the W recursion for a chunk of paths, frame components.
 
-    ``W`` is (..., d, n) and ``dB`` (d, n); ``qv``, ``qw`` are the (..., d)
-    damped-transport images of v and w, with one optional leading index per
-    (v, w) pair.  On constant curvature R(dB, qv) qw reduces to
-    kappa (<qv, qw> dB - <dB, qw> qv), and the Ricci damping is the scalar
-    ``damp``.
+    ``W`` and ``dB`` are (d, n); ``qv``, ``qw`` are the (d,)
+    damped-transport images of v and w.  On constant curvature R(dB, qv) qw
+    reduces to kappa (<qv, qw> dB - <dB, qw> qv), and the Ricci damping is
+    the scalar ``damp``.
     """
     if m.sectional_curvature == 0.0:
         return damp * W
-    # <qv, qw>; a stack of pairs takes it as (..., 1, 1) to broadcast over dB
-    qvw = np.dot(qv, qw) if qv.ndim == 1 else qv[..., None, :] @ qw[..., :, None]
-    return w_update(m, W, dB, qv[..., :, None], qvw, (qw @ dB)[..., None, :], damp)
+    return w_update(m, W, dB, qv[:, None], np.dot(qv, qw), qw @ dB, damp)
 
 
 def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
@@ -515,7 +512,9 @@ def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
 
     ``qvw`` is <qv, qw> and ``qw_dB`` is <qw, dB>; with ``qv`` (d, n) and
     ``qvw``, ``qw_dB``, ``damp`` of shape (n,) every path has its own step
-    size and transport factor, which is how a batch of groups walks.
+    size and transport factor, which is how a batch of groups walks.  The
+    operands broadcast, so a leading pair axis (``W`` (P, d, n), ``qv``
+    (P, d, 1 or n), ``qvw`` and ``qw_dB`` (P, 1, 1 or n)) steps P pairs.
     """
     kappa = m.sectional_curvature
     if kappa == 0.0:

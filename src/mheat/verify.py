@@ -13,11 +13,12 @@ the curvature potential; on the model spaces |R|^2 is constant, so the
 fitted rate is exactly |R|^2.
 
 The Monte Carlo checks (semigroup bounds, Kato functionals) run on the
-estimators' path layer: each hands an ``observe(walk)`` for chunks of
-``SEMIGROUP_CHUNK`` or ``KATO_CHUNK`` paths to :mod:`mheat.semigroup`.  One
-advances the W step of :mod:`mheat.transport` for all d^2 frame pairs at
-once, the other snapshots potential integrals.  ``threads`` changes their
-wall time, not their results.
+estimators' path layer of :mod:`mheat.semigroup`, in chunks of
+``SEMIGROUP_CHUNK`` or ``KATO_CHUNK`` paths.  The semigroup bounds take the
+estimators' own Hessian observer, with all d^2 frame pairs as one stack of
+(v, w) pairs and its path moments; the Kato check hands the layer an
+``observe(walk)`` that snapshots potential integrals.  ``threads`` changes
+their wall time, not their results.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .oracle import (
     polar_grid,
     quadrature_grid,
 )
-from .semigroup import RunningMoments, _walk_chunks, _walk_moments, default_theta, derive_seed
+from .semigroup import (RunningMoments, _hess_nodes, _walk_chunks, default_theta,
+                        derive_seed)
 from .spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
@@ -56,7 +58,7 @@ from .spectral import (
     sphere_bochner_residual,
     torus_bochner_residual,
 )
-from .transport import _grid_steps, frame_components, q_decay_factor, w_step
+from .transport import _grid_steps
 
 __all__ = [
     "BoundCheckConfig",
@@ -501,56 +503,17 @@ def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
 def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
                        n_paths: int, h: float, seed: int,
                        threads: Optional[int] = None):
-    """Shared-path estimates of Hess P_t f and the domination ingredients."""
+    """Shared-path estimates of Hess P_t f and the domination ingredients:
+    the mixed Hessian samples of every frame pair (e_i, e_j), in C order, and
+    the path moments of :func:`mheat.semigroup._hess_nodes`."""
     d = m.dim
-    n_steps = _grid_steps(t, h, lo=2)
-    hh = t / n_steps
-    damp = math.exp(-hh * (d - 1) * m.sectional_curvature)
-    x0 = np.asarray(x.coords)
-    qvals = q_decay_factor(m, np.arange(n_steps) * hh)
-    qT = float(q_decay_factor(m, t))
-    # every frame pair (e_i, e_j) at once: qv[i, j] = e_i, qw[i, j] = e_j
     eye = np.eye(d)
-    ev = np.broadcast_to(eye[:, None, :], (d, d, d))
-    ew = np.broadcast_to(eye[None, :, :], (d, d, d))
-
-    def observe(walk):
-        n = walk.n_paths
-        W = np.zeros((d, d, d, n))
-        for k, dB in walk.steps():
-            q = qvals[k]
-            W = w_step(m, W, dB.T, q * ev, q * ew, damp)
-        H = f.hess_fn(walk.points, walk.frames)
-        G = f.grad_fn(walk.points)
-        gc = frame_components(m, walk.frames, G)
-        fv = f.eval_fn(walk.points)
-        # C-ordered samples: numpy sums the column means of an F-ordered
-        # block pairwise, which rounds differently
-        Wp = W.reshape(d * d, d, n)
-        hess_samples = (qT * qT * H.reshape(n, d * d)
-                        + np.einsum("nd,pdn->np", gc, Wp, order="C"))
-        gram = np.einsum("adn,bdn->nab", Wp, Wp, order="C")
-        hs2 = np.sum(H * H, axis=(1, 2))
-        gsq = np.sum(gc * gc, axis=1)
-        return np.concatenate([
-            hess_samples,                     # d*d Hessian components
-            fv[:, None] ** 2,                 # |f|^2
-            gsq[:, None],                     # |df|^2
-            hs2[:, None],                     # |Hess f|_HS^2
-            gram.reshape(n, -1),              # W pair Gram
-        ], axis=1)
-
-    (acc,) = _walk_moments(m, x0, t, n_steps, seed, n_paths, observe,
-                           chunk_size=SEMIGROUP_CHUNK, threads=threads)
-    mean = acc.mean
-    se = acc.stderr()
+    (est,) = _hess_nodes(m, f, x, np.repeat(eye, d, axis=0), np.tile(eye, (d, 1)),
+                         None, "mixed", t=[t], h=[t / _grid_steps(t, h, lo=2)],
+                         seed=[seed], n_paths=[n_paths], antithetic=False,
+                         chunk_size=SEMIGROUP_CHUNK, threads=threads, moments=True)
+    mean, se = est.value, est.stderr
     dd = d * d
-    Hmat = mean[:dd].reshape(d, d)
-    Hse = se[:dd].reshape(d, d)
-    pt_f2 = float(mean[dd])
-    pt_gsq = float(mean[dd + 1])
-    pt_hs2 = float(mean[dd + 2])
-    se_f2, se_gsq, se_hs2 = float(se[dd]), float(se[dd + 1]), float(se[dd + 2])
     gram_mean = mean[dd + 3:].reshape(dd, dd)
     # sup over unit (v, w) of E|W(v, w)|^2 from the pair Gram
     if d == 2:
@@ -562,10 +525,10 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     else:
         wsup2 = float(np.trace(gram_mean))
     return {
-        "hess": Hmat, "hess_se": Hse,
-        "pt_f2": pt_f2, "pt_f2_se": se_f2,
-        "pt_gradsq": pt_gsq, "pt_gradsq_se": se_gsq,
-        "pt_hess2": pt_hs2, "pt_hess2_se": se_hs2,
+        "hess": mean[:dd].reshape(d, d), "hess_se": se[:dd].reshape(d, d),
+        "pt_f2": float(mean[dd]), "pt_f2_se": float(se[dd]),
+        "pt_gradsq": float(mean[dd + 1]), "pt_gradsq_se": float(se[dd + 1]),
+        "pt_hess2": float(mean[dd + 2]), "pt_hess2_se": float(se[dd + 2]),
         "wsup": math.sqrt(max(wsup2, 0.0)),
     }
 

@@ -490,12 +490,12 @@ def test_shipped_configs_load():
             load_config(os.path.join(CONFIG_DIR, name))
 
 
-def test_manifest_written_on_abort(tmp_path):
+def test_manifest_written_on_abort(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = write(tmp_path, f"""
 kind = "verify"
 seed = 1
-n_paths = 200
+n_paths = 1000
 out_dir = "{out}"
 
 [manifold]
@@ -507,9 +507,53 @@ check = "semigroup-bounds"
 alpha = 0.2
 field = "gauss-bump"
 """)
-    # statistical checks refuse to run with fewer than 1000 paths
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("path diverged at step 3 (chunk-local index 0)")
+
+    # a valid config whose run fails
+    monkeypatch.setattr(cli, "check_semigroup_bounds", diverge)
     rc = main(["run", cfg])
     assert rc == 1
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "aborted"
-    assert "paths" in manifest["error"]
+    assert "diverged" in manifest["error"]
+
+
+PATH_COUNT_CFG = """
+kind = "{kind}"
+seed = 1
+n_paths = {n_paths}
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+
+[{kind}]
+{params}
+"""
+
+
+@pytest.mark.parametrize("kind,n_paths,params,message", [
+    ("verify", 500, 'check = "semigroup-bounds"', "at least 1000"),
+    ("verify", 500, 'check = "kato"', "at least 1000"),
+    ("estimate", 1001, 'op = "pt"\nfield = "coord-z"', "even"),
+], ids=["semigroup-bounds", "kato", "antithetic-odd"])
+def test_unrunnable_path_count_is_config_error(tmp_path, kind, n_paths, params,
+                                              message):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, PATH_COUNT_CFG.format(kind=kind, n_paths=n_paths,
+                                                out=out, params=params))
+    # line 4 holds n_paths
+    with pytest.raises(ConfigError, match=rf":4: n_paths .*{message}"):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not out.exists()
+
+
+def test_odd_path_count_runs_without_antithetic(tmp_path):
+    cfg = write(tmp_path, PATH_COUNT_CFG.format(
+        kind="estimate", n_paths=1001, out=tmp_path / "out",
+        params='op = "pt"\nfield = "coord-z"\nt = 0.05\nantithetic = false'))
+    assert run_config(cfg).exit_status == 0

@@ -8,6 +8,7 @@ bitwise through ``float.hex``.
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mheat.geometry import (
     gaussian_bump_field,
 )
 from mheat.semigroup import estimate_endpoint, estimate_grad, estimate_hess, estimate_pt
+from mheat.transport import _grid_steps
 from mheat.verify import (
     BoundCheckConfig,
     _semigroup_samples,
@@ -161,6 +163,29 @@ def test_kato_functional_golden():
 @pytest.mark.parametrize("mode", ["bismut", "mixed"])
 def test_estimate_hess_golden(kind, mode):
     assert _hess_case(kind, mode) == GOLDEN_HESS[(kind, mode)]
+
+
+@pytest.mark.parametrize("kind", ["h2", "s3"])
+def test_semigroup_samples_match_mixed_estimates(kind):
+    # verify's frame-pair Hessian is the mixed estimator's, pair by pair; the
+    # frame vectors' ambient components carry round-off, hence not bitwise
+    m = _model(kind)
+    f = gaussian_bump_field(m, center=_point(m, 11), lam=1.5)
+    x = _point(m, 12)
+    t, h, n_paths, seed = 0.1, 0.03, 1200, 31
+    hess = _semigroup_samples(m, f, Point(x), t, n_paths, h, seed)["hess"]
+    F = m.frame(x[None, :])[0]
+    bound = 1e-12 * np.max(np.abs(hess))
+    for i in range(m.dim):
+        for j in range(m.dim):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                est = estimate_hess(
+                    m, f, Point(x), TangentVector(Point(x), F[i]),
+                    TangentVector(Point(x), F[j]), t, None, "mixed",
+                    n_paths=n_paths, h=t / _grid_steps(t, h, lo=2), seed=seed,
+                    antithetic=False, chunk_size=verify.SEMIGROUP_CHUNK)
+            assert abs(est.scalar - hess[i, j]) <= bound, (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -369,5 +394,24 @@ def test_step_count_rule_only_in_transport():
                 fn = node.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                 if name == "round":
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == allowed
+
+
+def test_w_recursion_called_only_by_the_hessian_observer():
+    # the W step runs in semigroup's Hessian observer, which verify's
+    # domination samples also use, and in transport's single-pair helpers
+    allowed = {("semigroup", "_hess_nodes"), ("transport", "w_step"),
+               ("transport", "w_process")}
+    found = set()
+    for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in ("w_step", "w_update"):
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == allowed
