@@ -9,8 +9,10 @@ Implemented kernels:
 
 * euclidean: exact Gaussian with analytic derivatives
 * torus: wrapped Gaussian, evaluated as a product over axes of 1-d image
-  sums theta(D_a) (and theta', theta'' for the derivatives), truncated at
-  relative 1e-14; 2k + 1 images per axis instead of (2k + 1)^d
+  sums theta(D_a) (and theta', theta'' for the derivatives) over the
+  reduced difference |D_a| <= pi, truncated where the first omitted image
+  is below e^-45 of the nearest kept one; 2k + 1 images per axis instead
+  of (2k + 1)^d
 * sphere (d = 2): Legendre spectral sum with exact derivatives through the
   ambient pairing u = <x, y>
 * hyperbolic d = 3: elementary closed form
@@ -118,52 +120,86 @@ def _euclidean_fields(m: Euclidean, X, Y, t, full=True):
     return {"p": p, "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo, "hess": hess}
 
 
-def _torus_images(t: float, d: int) -> np.ndarray:
-    """Per-axis image shifts 2 pi k of the wrapped Gaussian.
+_TWO_PI = 2.0 * math.pi
+# every omitted image is at most e^-45 (about 3e-20) of the nearest kept one
+_IMAGE_DECAY = 45.0
 
-    The d-dimensional image set is the cube of these shifts, which holds
-    every image within |2 pi k| <= sqrt(4 t ln 1e16) + pi sqrt(d).
+
+def _torus_images(t: float) -> np.ndarray:
+    """Per-axis image shifts 2 pi k, |k| <= K, of the wrapped Gaussian.
+
+    The count is relative to the value, not to the peak: for a reduced
+    difference |D| <= pi the nearest kept image is within pi of 0 and the
+    first omitted one is at least (2K + 1) pi away, so its Gaussian factor
+    is at most e^{-pi^2 K (K + 1) / t} of the nearest kept one's.  K is the
+    smallest k >= 1 with pi^2 k (k + 1) / t >= 45.  The rule is per axis
+    and independent of the dimension, since the kernel is a product of
+    per-axis sums.
     """
-    reach = math.sqrt(4.0 * t * 37.0) + math.pi * math.sqrt(d)
-    kmax = max(1, int(math.ceil(reach / (2.0 * math.pi))))
-    return np.arange(-kmax, kmax + 1) * 2.0 * math.pi
+    k = 1
+    while math.pi ** 2 * k * (k + 1) < _IMAGE_DECAY * t:
+        k += 1
+    return np.arange(-k, k + 1) * _TWO_PI
 
 
 def _theta(D, t, shifts):
-    """1-d wrapped Gaussian theta(D) and its first two D-derivatives."""
-    c = (4.0 * math.pi * t) ** -0.5
-    th = np.zeros_like(D)
-    th1 = np.zeros_like(D)
-    th2 = np.zeros_like(D)
+    """1-d wrapped Gaussian theta(D) and its first two D-derivatives.
+
+    theta is 2 pi periodic, so D is first reduced to D - 2 pi rint(D / 2 pi),
+    which lies in [-pi, pi] for any finite input; ``shifts`` from
+    :func:`_torus_images` then reach every image that can change a double.
+    Each image E = D + s updates the sums of g, g E and g E^2 with
+    g = exp(-E^2 / 4t); theta, theta' and theta'' are formed from them once.
+    """
+    D = D - _TWO_PI * np.rint(D / _TWO_PI)
+    s0 = np.zeros_like(D)
+    s1 = np.zeros_like(D)
+    s2 = np.zeros_like(D)
+    E = np.empty_like(D)
+    g = np.empty_like(D)
+    gE = np.empty_like(D)
     for s in shifts:
-        E = D + s
-        g = c * np.exp(-E * E / (4.0 * t))
-        th += g
-        th1 -= g * E / (2.0 * t)
-        th2 += g * (E * E / (4.0 * t * t) - 1.0 / (2.0 * t))
-    return th, th1, th2
+        np.add(D, s, out=E)
+        np.multiply(E, E, out=g)
+        g /= -4.0 * t
+        np.exp(g, out=g)
+        s0 += g
+        np.multiply(g, E, out=gE)
+        s1 += gE
+        gE *= E
+        s2 += gE
+    c = (4.0 * math.pi * t) ** -0.5
+    s2 *= c / (4.0 * t * t)
+    s2 -= (c / (2.0 * t)) * s0
+    s1 *= -c / (2.0 * t)
+    s0 *= c
+    return s0, s1, s2
 
 
 def _torus_fields(m: Torus, X, Y, t, full=True):
     # the wrapped Gaussian is a product over axes of 1-d image sums theta, so
     # every field is a product of per-axis theta, theta' or theta'' factors
     d = m.dim
-    D = m.wrap(X - Y)
-    shifts = _torus_images(t, d)
+    D = X - Y
+    shifts = _torus_images(t)
     derivs = list(zip(*(_theta(D[..., a], t, shifts) for a in range(d))))
-    e = np.eye(d, dtype=int)
 
-    def field(orders):
-        # product over axes a of the orders[a]-th derivative of theta(D_a)
-        return math.prod(derivs[k][a] for a, k in enumerate(orders))
+    def field(*raised):
+        # product over axes a of theta(D_a), differentiated once per
+        # occurrence of a in ``raised``
+        return math.prod(derivs[raised.count(a)][a] for a in range(d))
 
-    hess = np.stack([np.stack([field(e[a] + e[b]) for b in range(d)], axis=-1)
-                     for a in range(d)], axis=-2)
+    hess = np.empty(D.shape[:-1] + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            hess[..., a, b] = field(a, b)
+            if b != a:
+                hess[..., b, a] = hess[..., a, b]
     if not full:
         return {"hess": hess}
-    grad = np.stack([field(e[a]) for a in range(d)], axis=-1)
+    grad = np.stack([field(a) for a in range(d)], axis=-1)
     lap_geo = np.einsum("...ii->...", hess)
-    return {"p": field([0] * d), "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo,
+    return {"p": field(), "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo,
             "hess": hess}
 
 
@@ -398,7 +434,7 @@ def _ambient_core(m: ManifoldModel):
 
 
 def _frame_contract(frames: np.ndarray, hess_amb: np.ndarray) -> np.ndarray:
-    return np.einsum("nia,nab,njb->nij", frames, hess_amb, frames)
+    return frames @ hess_amb @ frames.transpose(0, 2, 1)
 
 
 def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,

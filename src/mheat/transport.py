@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import ndtri
 
 from .geometry import (
@@ -471,6 +470,8 @@ def damped_transport_generic(m: ManifoldModel, path: PathRecord) -> np.ndarray:
     Independent route used as a redundancy oracle: contracts the curvature
     package instead of the closed-form scalar decay.
     """
+    from scipy.linalg import expm
+
     d = m.dim
     n = path.n_steps
     h = path.step
@@ -551,6 +552,8 @@ def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
 def w_process_generic(m: ManifoldModel, path: PathRecord, q: np.ndarray,
                       v: TangentVector, w: TangentVector) -> np.ndarray:
     """W_t(v, w) with all curvature action read from the curvature package."""
+    from scipy.linalg import expm
+
     d = m.dim
     n = path.n_steps
     h = path.step

@@ -267,6 +267,89 @@ def test_torus_separable_equals_image_cube(d, t, seed):
 
 
 # ---------------------------------------------------------------------------
+# (b') the 1-d image sums against a wide sum of per-image terms, and the
+# image rule.  D spreads over three periods, which exercises the periodic
+# reduction; t runs from underflowing images to many comparable ones
+THETA_TS = [0.002, 0.01, 0.05, 0.25, 1.0, 4.0, 16.0]
+
+
+def _wide_theta_terms(D, t, kmax=12):
+    """Per-image terms of theta, theta' and theta'' over |k| <= kmax, and
+    the two parts g E^2 / 4t^2 and g / 2t of each theta'' term."""
+    c = (4.0 * math.pi * t) ** -0.5
+    terms = ([], [], [], [])
+    for s in np.arange(-kmax, kmax + 1) * 2.0 * math.pi:
+        E = D + s
+        g = c * np.exp(-E * E / (4.0 * t))
+        terms[0].append(g)
+        terms[1].append(-g * E / (2.0 * t))
+        terms[2].append(g * (E * E / (4.0 * t * t) - 1.0 / (2.0 * t)))
+        terms[3].append(g * (E * E / (4.0 * t * t) + 1.0 / (2.0 * t)))
+    return [np.array(x) for x in terms]
+
+
+@pytest.mark.parametrize("t", THETA_TS)
+def test_theta_matches_wide_image_sum(t):
+    g = np.random.default_rng(17)
+    D = np.concatenate([np.linspace(-3.0 * math.pi, 3.0 * math.pi, 1201),
+                        g.uniform(-3.0 * math.pi, 3.0 * math.pi, 800)])
+    got = oracle._theta(D, t, oracle._torus_images(t))
+    th, th1, th2, th2_parts = _wide_theta_terms(D, t)
+    # the error scale is the sum of the absolute summands; a theta'' term is
+    # itself the difference of its two parts, which cancel at E^2 = 2t, so
+    # its scale counts both.  1e-290 absorbs subnormal round-off where every
+    # image underflows (t = 0.002, |D| near pi)
+    scales = (np.sum(np.abs(th), axis=0), np.sum(np.abs(th1), axis=0),
+              np.sum(th2_parts, axis=0))
+    for k, (val, terms, scale) in enumerate(zip(got, (th, th1, th2), scales)):
+        err = np.abs(val - np.sum(terms, axis=0))
+        assert np.all(err <= 1e-14 * scale + 1e-290), (k, float(np.max(err / scale)))
+
+
+@pytest.mark.parametrize("t", THETA_TS + [0.123, 2.5, 40.0, 1e3])
+def test_torus_image_rule_omits_below_e45(t):
+    shifts = oracle._torus_images(t)
+    kmax = len(shifts) // 2
+    np.testing.assert_array_equal(shifts, np.arange(-kmax, kmax + 1) * 2.0 * math.pi)
+    assert kmax >= 1
+    # the smallest such count: one image fewer would omit more than e^-45
+    assert kmax == 1 or math.pi ** 2 * (kmax - 1) * kmax / t < 45.0
+    # over reduced differences |D| <= pi, the first omitted image's Gaussian
+    # factor exp(-E^2 / 4t) is at most e^-45 of the nearest kept one's
+    D = np.linspace(-math.pi, math.pi, 2001)
+    nearest = np.min(np.abs(D[:, None] + shifts[None, :]), axis=1)
+    first_out = np.minimum(np.abs(D + 2.0 * math.pi * (kmax + 1)),
+                           np.abs(D - 2.0 * math.pi * (kmax + 1)))
+    log_ratio = (first_out ** 2 - nearest ** 2) / (4.0 * t)
+    assert np.min(log_ratio) >= 45.0 * (1.0 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# (b'') the Hessian operator norm of the verify layer against the SVD
+
+def _opnorm_batches():
+    g = np.random.default_rng(23)
+    A = g.standard_normal((500, 2, 2))
+    u, v = g.standard_normal((2, 500, 2))
+    return {
+        "asymmetric": A * np.exp(g.uniform(-20.0, 20.0, (500, 1, 1))),
+        "symmetric": A + A.transpose(0, 2, 1),
+        "zero": np.zeros((7, 2, 2)),
+        "rank-one": u[:, :, None] * v[:, None, :],
+        "3x3": g.standard_normal((200, 3, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_opnorm_batches()))
+def test_opnorm_matches_svd_norm(name):
+    H = _opnorm_batches()[name]
+    got = verify._opnorm(H)
+    want = np.linalg.norm(H, ord=2, axis=(1, 2))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+# ---------------------------------------------------------------------------
 # (c) sphere Gaffney: t-nodes where the spectral sum cancels leave the fit
 
 def test_gaffney_sphere_drops_unreliable_nodes():

@@ -312,3 +312,20 @@ def test_cz_scan_rejects_bad_input():
         cz_scan(m, fam, p=1.0, sigma=1.0)
     with pytest.raises(ValueError):
         cz_scan(Sphere(2, 1.0), fam, p=2.0, sigma=1.0)
+
+
+def test_cz_scan_torus3_memory_is_blocked():
+    # the phase matrix is built in node blocks: degree 1 on T^3 (26 modes on
+    # the default 64^3 grid) peaked at +217 MB with one (nodes, modes) block
+    import tracemalloc
+
+    m = Torus(3)
+    fam = random_trig_polynomials(m, 1, 4, rng())
+    tracemalloc.start()
+    try:
+        rep = cz_scan(m, fam, p=4.0, sigma=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 64 * 2 ** 20
