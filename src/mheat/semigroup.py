@@ -26,11 +26,11 @@ fixed-size chunks of paths on ``threads`` workers and returns observations
 in chunk order; folds in that order are bitwise reproducible for a given
 (seed, n_paths, chunk_size) regardless of threading.  The layer also walks
 several path sets (horizon, step count, stream, path count) at once: each
-chunk of each set is a group, and waves of whole groups, longest first,
-share one :class:`ChunkWalk`, so one walk step moves every group still
-walking.  A wave holds no more path-steps than the largest group and no
-more paths than the widest.  Every group's values are bitwise those of a
-walk of that group alone.
+chunk of each set is a group, and waves of whole groups, packed longest
+first, share one :class:`ChunkWalk`, so one walk step moves every group
+still walking.  A wave holds no more paths than the widest group and no
+more increment memory (wave buffer and draws) than the costliest one.
+Every group's values are bitwise those of a walk of that group alone.
 
 The Green operator integrates e^{-sigma t} Hess P_t f over log-time nodes,
 each an independent Hessian estimate on its own stream, and the nodes
@@ -56,8 +56,8 @@ import numpy as np
 
 from .geometry import ManifoldModel, Point, ScalarField, TangentVector
 from .transport import (ChunkWalk, WalkGroup, _check_grid, _grid_steps,
-                        _vw_components, frame_components, q_decay_factor,
-                        w_update)
+                        _vw_components, _wave_footprint, frame_components,
+                        q_decay_factor, w_update)
 
 __all__ = [
     "McEstimate",
@@ -259,11 +259,39 @@ def _chunk_groups(n_paths, antithetic: bool, chunk_size: int):
     return groups
 
 
+def _pack_waves(groups, d: int, antithetic: bool, one_wave: bool = False):
+    """Waves of :class:`WalkGroup` indices, each longest first.
+
+    Groups go longest first (equal step counts in the given order) into the
+    current wave while it holds no more paths than the widest group and no
+    more increment memory (``transport._wave_footprint`` in dimension
+    ``d``) than the costliest single group, and open the next wave
+    otherwise.  With ``one_wave`` every group is in one wave.
+    """
+    order = sorted(range(len(groups)), key=lambda j: -groups[j].n_steps)
+    if one_wave:
+        return [order] if order else []
+    width = [g.path_hi - g.path_lo for g in groups]
+    max_width = max(width, default=0)
+    max_cost = max((_wave_footprint([g], d, antithetic) for g in groups), default=0)
+    waves = []
+    for j in order:
+        if waves and paths + width[j] <= max_width and _wave_footprint(
+                [groups[i] for i in waves[-1] + [j]], d, antithetic) <= max_cost:
+            waves[-1].append(j)
+            paths += width[j]
+        else:
+            waves.append([j])
+            paths = width[j]
+    return waves
+
+
 def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
                  observe, *, antithetic: bool = False,
                  chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
-                 one_wave: bool = False):
-    """Yield observe's per-path values for every chunk, in (set, chunk) order.
+                 one_wave: bool = False, keyed: bool = False):
+    """Yield observe's per-path values for every chunk, in (set, chunk) order;
+    with ``keyed``, (chunk index, values) pairs in walk order instead.
 
     A path set is one horizon ``t``, step count, stream ``seed`` and path
     count: scalars give one set, equal-length sequences several (Green's
@@ -273,47 +301,31 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     set is a group.
 
     Groups walk in waves, one :class:`ChunkWalk` each, on ``threads``
-    workers.  Waves take whole groups in ascending step order while the wave
-    holds no more path-steps than the largest group and no more paths than
-    the widest; one set's chunks therefore walk one per wave.  A wave's
-    state and its wave buffer of 32 steps grow with its paths, not its
-    steps, and its draws stay within about those of the largest group:
-    each group draws its whole walk when that fits in
-    ``transport._DRAW_BUDGET`` uniforms and a few 32-step blocks at a time
-    otherwise.  With ``one_wave`` every group walks in one wave (Green's
-    pilot: at most 64 paths x 16 steps per node).  A wave's observe(walk)
-    returns values whose first axis runs over the walk's paths when it
-    holds several groups.  The walk moves each group's paths bitwise as a
-    walk of that group alone would, so an observer that takes each group's
-    small products on the group's own rows (as the Hessian observer does)
-    returns bitwise the same values, at any thread count.
+    workers.  :func:`_pack_waves` packs whole groups longest first
+    (Graham's LPT order, so the pool also starts on the longest wave) under
+    two bounds: no more paths than the widest group, and no more increment
+    memory than the costliest single group, counting the (32, d, paths)
+    wave buffer and every group's draw (its whole walk when that fits in
+    ``transport._DRAW_BUDGET`` uniforms, else a few 32-step blocks).  One
+    set's chunks therefore walk one per wave, and a long, narrow group takes
+    shorter ones along.  With ``one_wave`` every group walks in one wave
+    (Green's pilot: at most 64 paths x 16 steps per node).  A wave's
+    observe(walk) returns values whose first axis runs over the walk's paths
+    when it holds several groups.  The walk moves each group's paths
+    bitwise as a walk of that group alone would, so an observer that takes
+    each group's small products on the group's own rows (as the Hessian
+    observer does) returns bitwise the same values, at any thread count.
     """
     t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
-    groups = _chunk_groups(n_paths, antithetic, chunk_size)
     per_unit = 2 if antithetic else 1
-    steps = [int(n_steps[i]) for i, _, _ in groups]
-    width = [hi - lo for _, lo, hi in groups]
-    order = sorted(range(len(groups)), key=steps.__getitem__)
-    if one_wave:
-        waves = [order] if order else []
-    else:
-        max_cost = max((p * k for p, k in zip(width, steps)), default=0)
-        max_width = max(width, default=0)
-        waves = []
-        for j in order:
-            if (waves and cost + width[j] * steps[j] <= max_cost
-                    and paths + width[j] <= max_width):
-                waves[-1].append(j)
-                cost, paths = cost + width[j] * steps[j], paths + width[j]
-            else:
-                waves.append([j])
-                cost, paths = width[j] * steps[j], width[j]
+    groups = [WalkGroup(seed[i], t[i], int(n_steps[i]), lo, hi, key=i)
+              for i, lo, hi in _chunk_groups(n_paths, antithetic, chunk_size)]
+    waves = _pack_waves(groups, m.dim, antithetic, one_wave)
 
     def worker(w):
-        wave = sorted(waves[w], key=lambda j: -steps[j])
-        walk = ChunkWalk(m, x0, antithetic=antithetic, groups=[
-            WalkGroup(seed[i], t[i], steps[j], lo, hi, key=i)
-            for j in wave for i, lo, hi in [groups[j]]])
+        wave = waves[w]
+        walk = ChunkWalk(m, x0, antithetic=antithetic,
+                         groups=[groups[j] for j in wave])
         values = observe(walk)
         if antithetic:
             values = 0.5 * (values[0::2] + values[1::2])
@@ -324,9 +336,15 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
             raise ValueError("a batched walk's observer returns one value per path")
         return [(j, values[b[g]:b[g + 1]]) for g, j in enumerate(wave)]
 
+    results = (r for wave in _chunk_map(worker, len(waves), threads) for r in wave)
+    if keyed:
+        # a set's chunks share one step count, so they still come in chunk
+        # order, and no set's values wait for a longer set's walk
+        yield from results
+        return
     done, nxt = {}, 0
-    for results in _chunk_map(worker, len(waves), threads):
-        done.update(results)
+    for j, values in results:
+        done[j] = values
         while nxt in done:
             yield done.pop(nxt)
             nxt += 1
@@ -338,10 +356,11 @@ def _walk_moments(m, x0, t, n_steps, seed, n_paths, observe, *,
     chunk order; a list with one :class:`RunningMoments` per set."""
     t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
     accs = [RunningMoments() for _ in n_paths]
-    values = _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
-                          antithetic=antithetic, chunk_size=chunk_size, **kw)
-    for (i, _, _), v in zip(_chunk_groups(n_paths, antithetic, chunk_size), values):
-        accs[i].update_batch(v)
+    sets = [i for i, _, _ in _chunk_groups(n_paths, antithetic, chunk_size)]
+    for j, v in _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
+                             antithetic=antithetic, chunk_size=chunk_size,
+                             keyed=True, **kw):
+        accs[sets[j]].update_batch(v)
     return accs
 
 
@@ -638,13 +657,13 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     floored counts would cost more path-steps than the equal rule.
 
     The nodes do not walk one by one: the pilot is one batched walk of
-    every node's 64 paths, and the main walks pack the nodes' chunks, in
-    ascending step order, into waves that hold no more path-steps than the
-    largest chunk and no more paths than the widest, so a wave holds about
-    the draws of the largest single node walk at most (see
-    :func:`_walk_chunks`).  The result is a deterministic function of
-    (seed, n_paths, chunk_size, cfg) at any thread count; ``notes`` records
-    the pilot and main path-steps and the node count range.
+    every node's 64 paths, and the main walks pack the nodes' chunks,
+    longest first, into waves that hold no more paths than the widest chunk
+    and no more increment memory than the costliest, so the long, narrow
+    tail nodes share one walk (see :func:`_walk_chunks`).  The result is a
+    deterministic function of (seed, n_paths, chunk_size, cfg) at any
+    thread count; ``notes`` records the pilot and main path-steps and the
+    node count range.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even path count")

@@ -75,9 +75,10 @@ __all__ = [
 
 # steps per refill of a walk's wave buffer
 _BLOCK_STEPS = 32
-# uniforms a group draws at once: its whole walk in one contiguous Philox
-# call when that fits, else as many blocks of its streams as fit, at least
-# one and at most _DRAW_BLOCKS (each path's run then costs one advance)
+# uniforms a group draws at once (see _draw_steps): its whole walk in one
+# contiguous Philox call when that fits, else as many blocks of its streams
+# as fit, at least one and at most _DRAW_BLOCKS (each path's run then costs
+# one advance)
 _DRAW_BUDGET = 1 << 21
 _DRAW_BLOCKS = 8
 
@@ -86,6 +87,40 @@ def _stream_stride(n_steps: int, d: int) -> int:
     # per-path uniform budget rounded up so path offsets are Philox blocks
     need = n_steps * d
     return 4 * ((need + 3) // 4)
+
+
+def _draw_steps(streams: int, n_steps: int, d: int) -> int:
+    """Steps of an ``n_steps``-step walk in dimension d that a group of
+    ``streams`` streams draws at once, the draw policy of :class:`ChunkWalk`
+    and of :func:`_wave_footprint`."""
+    if streams * _stream_stride(n_steps, d) <= _DRAW_BUDGET:
+        return n_steps
+    # a block of every stream is _BLOCK_STEPS * d uniforms each
+    fit = _DRAW_BUDGET // (streams * _BLOCK_STEPS * d)
+    return min(n_steps, _BLOCK_STEPS * min(_DRAW_BLOCKS, max(1, fit)))
+
+
+def _group_streams(grp: "WalkGroup", antithetic: bool):
+    """Stream range [lo, hi) of a group's paths; with ``antithetic`` physical
+    paths 2m and 2m + 1 share stream m."""
+    if antithetic:
+        return grp.path_lo // 2, (grp.path_hi + 1) // 2
+    return grp.path_lo, grp.path_hi
+
+
+def _wave_footprint(groups, d: int, antithetic: bool) -> int:
+    """Floats a :class:`ChunkWalk` of ``groups`` (longest first) holds for
+    increments at most: its (min(32, longest steps), d, paths) wave buffer
+    plus every group's draw, the whole walk's uniforms when
+    :func:`_draw_steps` draws it at once, else one block span."""
+    paths = sum(g.path_hi - g.path_lo for g in groups)
+    total = min(_BLOCK_STEPS, groups[0].n_steps) * d * paths
+    for g in groups:
+        lo, hi = _group_streams(g, antithetic)
+        span = _draw_steps(hi - lo, g.n_steps, d)
+        per_stream = _stream_stride(g.n_steps, d) if span == g.n_steps else span * d
+        total += (hi - lo) * per_stream
+    return total
 
 
 def increment_block(seed: int, n_steps: int, d: int, h: float,
@@ -316,19 +351,13 @@ class ChunkWalk:
         self._live = g
         return g
 
-    def _streams(self, g: int):
-        """Stream range [lo, hi) of group g's paths."""
-        grp = self.groups[g]
-        if self._antithetic:
-            return grp.path_lo // 2, (grp.path_hi + 1) // 2
-        return grp.path_lo, grp.path_hi
-
     def _draw(self, g: int, k0: int = 0, k1: Optional[int] = None) -> np.ndarray:
         """Path-major (streams, k1 - k0, d) increments of group g; without a
         step range, of its whole walk."""
         grp = self.groups[g]
         return increment_block(grp.seed, grp.n_steps, self.m.dim,
-                               float(grp.t) / grp.n_steps, *self._streams(g), k0, k1)
+                               float(grp.t) / grp.n_steps,
+                               *_group_streams(grp, self._antithetic), k0, k1)
 
     def _drawn_steps(self, g: int, k0: int, k1: int) -> np.ndarray:
         """Steps [k0, k1) of group g from its current draw, drawing the
@@ -337,14 +366,11 @@ class ChunkWalk:
         if z is None or k0 < s0 or k1 > s0 + z.shape[1]:
             self._drawn[g], z = (0, None), None  # release the spent draw first
             grp = self.groups[g]
-            lo, hi = self._streams(g)
-            d = self.m.dim
-            if (hi - lo) * _stream_stride(grp.n_steps, d) <= _DRAW_BUDGET:
+            lo, hi = _group_streams(grp, self._antithetic)
+            span = _draw_steps(hi - lo, grp.n_steps, self.m.dim)
+            if span == grp.n_steps:
                 s0, z = 0, self._draw(g)
             else:
-                # a block of every stream is _BLOCK_STEPS * d uniforms each
-                fit = _DRAW_BUDGET // ((hi - lo) * _BLOCK_STEPS * d)
-                span = _BLOCK_STEPS * min(_DRAW_BLOCKS, max(1, fit))
                 s0, z = k0, self._draw(g, k0, min(k0 + span, grp.n_steps))
             self._drawn[g] = (s0, z)
         return z[:, k0 - s0:k1 - s0]

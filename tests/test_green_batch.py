@@ -2,16 +2,20 @@
 
 Each node's chunks are groups of a few :class:`ChunkWalk` waves; every
 node's estimate must be bitwise what a standalone ``estimate_hess`` on that
-node's stream, step and path count returns, and no wave may hold more than
-the call's largest group (the one-wave pilot aside).
+node's stream, step and path count returns, and no wave may hold more
+paths than the call's widest group or more increment memory than its
+costliest one (the one-wave pilot aside).
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mheat import semigroup
+from mheat import semigroup, transport
 from mheat.geometry import (
     Euclidean,
     Hyperbolic,
@@ -85,11 +89,15 @@ def test_batched_nodes_match_standalone_estimates(kind, mode, threads):
 
 def test_waves_are_bounded(monkeypatch):
     m, f, x, sigma, h = _case("s2")
-    walks = []
+    walks, memory = [], []
 
     def spy(*args, **kw):
         walk = ChunkWalk(*args, **kw)
         walks.append([(g.path_hi - g.path_lo, g.n_steps, g.key) for g in walk.groups])
+        # (wave, each group alone) increment memory; Green walks antithetic pairs
+        cost = [transport._wave_footprint(gs, m.dim, True)
+                for gs in [walk.groups] + [[g] for g in walk.groups]]
+        memory.append((cost[0], cost[1:]))
         return walk
 
     monkeypatch.setattr(semigroup, "ChunkWalk", spy)
@@ -105,13 +113,59 @@ def test_waves_are_bounded(monkeypatch):
     assert 1 <= len(main) < n_nodes
     groups = [g for wave in main for g in wave]
     assert sorted(key for _, _, key in groups) == list(range(n_nodes))
-    largest = max(p * k for p, k, _ in groups)
+    largest = max(c for _, alone in memory[1:] for c in alone)
     widest = max(p for p, _, _ in groups)
-    for wave in main:
-        assert sum(p * k for p, k, _ in wave) <= largest
+    for wave, (cost, _) in zip(main, memory[1:]):
+        assert cost <= largest
         assert sum(p for p, _, _ in wave) <= widest
         # longest first, so a retiring group leaves the end of the live slice
         assert [k for _, k, _ in wave] == sorted((k for _, k, _ in wave), reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), antithetic=st.booleans(),
+       shapes=st.lists(st.tuples(st.integers(1, 700), st.integers(1, 4096)),
+                       min_size=1, max_size=24),
+       budget=st.integers(1, 1 << 16))
+def test_pack_waves_longest_first_within_both_bounds(d, antithetic, shapes, budget):
+    # a small draw budget puts wide or long groups over it, so their
+    # footprint is a block span rather than the whole walk
+    groups = [WalkGroup(1, 1.0, k, 0, w + w % 2 if antithetic else w, key=i)
+              for i, (k, w) in enumerate(shapes)]
+    with mock.patch.object(transport, "_DRAW_BUDGET", budget):
+        waves = semigroup._pack_waves(groups, d, antithetic)
+        memory = [transport._wave_footprint([groups[j] for j in wave], d, antithetic)
+                  for wave in waves]
+        costliest = max(transport._wave_footprint([g], d, antithetic) for g in groups)
+        (single,) = semigroup._pack_waves(groups, d, antithetic, one_wave=True)
+    assert sorted(j for wave in waves for j in wave) == list(range(len(groups)))
+    widest = max(g.path_hi - g.path_lo for g in groups)
+    for wave, cost in zip(waves, memory):
+        assert sum(groups[j].path_hi - groups[j].path_lo for j in wave) <= widest
+        assert cost <= costliest
+    for wave in waves + [single]:
+        steps = [groups[j].n_steps for j in wave]
+        assert steps == sorted(steps, reverse=True)
+    assert sorted(single) == list(range(len(groups)))
+
+
+def test_green_curved_main_walk_steps(monkeypatch):
+    # S^2, f = z at z = 0.8, sigma 3, h 0.01, 2000 paths: the main waves,
+    # packed longest first, walk this many steps one after another
+    m = Sphere(2, 1.0)
+    x = Point([0.6, 0.0, 0.8])
+    walks = []
+
+    def spy(*args, **kw):
+        walk = ChunkWalk(*args, **kw)
+        walks.append(walk.n_steps)
+        return walk
+
+    monkeypatch.setattr(semigroup, "ChunkWalk", spy)
+    estimate_green_hess(m, coordinate_field(m, axis=2), x, tv(m, x, [1, 0]),
+                        tv(m, x, [1, 0]), HessianEstimatorConfig(sigma=3.0),
+                        n_paths=2000, h=0.01, seed=5, mode="mixed")
+    assert sum(walks[1:]) == 1136  # walks[0] is the pilot
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
