@@ -475,8 +475,8 @@ def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
         rho = m.distance(np.broadcast_to(x0, walk.points.shape), walk.points)
         return np.stack([rho ** 2, m.embedding_defect(walk.points)])
 
-    rho2, defects = np.concatenate(list(_walk_chunks(
-        m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe, threads=cfg.threads)),
+    rho2, defects = np.concatenate([v for _, v in _walk_chunks(
+        m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe, threads=cfg.threads)],
         axis=1)
     msd = float(np.mean(rho2))
     msd_se = float(np.std(rho2, ddof=1) / math.sqrt(cfg.n_paths))

@@ -505,12 +505,8 @@ class Sphere(ManifoldModel):
         a = self.radius
         V = _frame_combination(F, dB)
         s = np.sqrt(_column_sq(V))
-        # at unit radius the scalings by a are exact no-ops and are skipped
-        unit = a == 1.0
-        sa = s if unit else s / a
-        cs, sn = np.cos(sa), np.sin(sa)
-        b, g = (sn, -sn) if unit else (a * sn, -sn / a)
-        P, F = _rank_one_move(P, F, dB, V, s, cs, b, g)
+        cs, sn = np.cos(s / a), np.sin(s / a)
+        P, F = _rank_one_move(P, F, dB, V, s, cs, a * sn, -sn / a)
         P *= a / np.sqrt(_column_sq(P))
         return P, F
 
@@ -626,16 +622,9 @@ class Hyperbolic(ManifoldModel):
         a = self.scale
         V = _frame_combination(F, dB)
         s = np.sqrt(np.maximum(_column_sq(V[:-1]) - V[-1] * V[-1], 0.0))
-        # at unit scale the scalings by a are exact no-ops and are skipped
-        unit = a == 1.0
-        sa = s if unit else a * s
-        ch, sh = np.cosh(sa), np.sinh(sa)
-        b, g = (sh, sh) if unit else (sh / a, a * sh)
-        P, F = _rank_one_move(P, F, dB, V, s, ch, b, g)
-        r = np.sqrt(P[-1] * P[-1] - _column_sq(P[:-1]))
-        if not unit:
-            r *= a
-        P *= 1.0 / r
+        ch, sh = np.cosh(a * s), np.sinh(a * s)
+        P, F = _rank_one_move(P, F, dB, V, s, ch, sh / a, a * sh)
+        P *= 1.0 / (a * np.sqrt(P[-1] * P[-1] - _column_sq(P[:-1])))
         return P, F
 
     def distance(self, X, Y):

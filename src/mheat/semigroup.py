@@ -289,9 +289,9 @@ def _pack_waves(groups, d: int, antithetic: bool, one_wave: bool = False):
 def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
                  observe, *, antithetic: bool = False,
                  chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
-                 one_wave: bool = False, keyed: bool = False):
-    """Yield observe's per-path values for every chunk, in (set, chunk) order;
-    with ``keyed``, (chunk index, values) pairs in walk order instead.
+                 one_wave: bool = False):
+    """Yield (set index, observe's per-path values) for every chunk, in walk
+    order, which is chunk order within each set.
 
     A path set is one horizon ``t``, step count, stream ``seed`` and path
     count: scalars give one set, equal-length sequences several (Green's
@@ -330,24 +330,16 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
         if antithetic:
             values = 0.5 * (values[0::2] + values[1::2])
         if len(wave) == 1:
-            return [(wave[0], values)]
+            return [(groups[wave[0]].key, values)]
         b = [lo // per_unit for lo in walk.bounds]
         if len(values) != b[-1]:
             raise ValueError("a batched walk's observer returns one value per path")
-        return [(j, values[b[g]:b[g + 1]]) for g, j in enumerate(wave)]
+        return [(groups[j].key, values[b[g]:b[g + 1]]) for g, j in enumerate(wave)]
 
-    results = (r for wave in _chunk_map(worker, len(waves), threads) for r in wave)
-    if keyed:
-        # a set's chunks share one step count, so they still come in chunk
-        # order, and no set's values wait for a longer set's walk
+    # waves are consecutive runs of the stable longest-first order, and a
+    # set's chunks share one step count, so each set's come in chunk order
+    for results in _chunk_map(worker, len(waves), threads):
         yield from results
-        return
-    done, nxt = {}, 0
-    for j, values in results:
-        done[j] = values
-        while nxt in done:
-            yield done.pop(nxt)
-            nxt += 1
 
 
 def _walk_moments(m, x0, t, n_steps, seed, n_paths, observe, *,
@@ -356,11 +348,9 @@ def _walk_moments(m, x0, t, n_steps, seed, n_paths, observe, *,
     chunk order; a list with one :class:`RunningMoments` per set."""
     t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
     accs = [RunningMoments() for _ in n_paths]
-    sets = [i for i, _, _ in _chunk_groups(n_paths, antithetic, chunk_size)]
-    for j, v in _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
-                             antithetic=antithetic, chunk_size=chunk_size,
-                             keyed=True, **kw):
-        accs[sets[j]].update_batch(v)
+    for i, v in _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
+                             antithetic=antithetic, chunk_size=chunk_size, **kw):
+        accs[i].update_batch(v)
     return accs
 
 
@@ -508,8 +498,8 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
             qvals=qvals, kd=kd,
             ld=np.array([cfg.ldot(float(s), ti) for s in svals]),
             damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
-            qvw=np.array([[np.dot(a, b) for a, b in zip(*ab)]
-                          for ab in zip(qv[:w_steps], qw)]).reshape(w_steps, P),
+            # a stacked (1, d) @ (d, 1) matmul is np.dot's ddot, bit for bit
+            qvw=np.matmul(qv[:w_steps, :, None, :], qw[:w_steps, :, :, None])[..., 0, 0],
             w_steps=w_steps, qT=float(q_decay_factor(m, ti))))
 
     def observe(walk):

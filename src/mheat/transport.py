@@ -112,7 +112,9 @@ def _wave_footprint(groups, d: int, antithetic: bool) -> int:
     """Floats a :class:`ChunkWalk` of ``groups`` (longest first) holds for
     increments at most: its (min(32, longest steps), d, paths) wave buffer
     plus every group's draw, the whole walk's uniforms when
-    :func:`_draw_steps` draws it at once, else one block span."""
+    :func:`_draw_steps` draws it at once, else one block span.  A block
+    draw starts at a multiple of 32 steps, so each stream's run starts on a
+    Philox block and :func:`increment_block` pads it with no uniforms."""
     paths = sum(g.path_hi - g.path_lo for g in groups)
     total = min(_BLOCK_STEPS, groups[0].n_steps) * d * paths
     for g in groups:

@@ -697,7 +697,7 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
         integ_acc = {t: RunningMoments() for t in t_list}
         exp_acc = {t: RunningMoments() for t in t_list}
         dropped = {t: 0 for t in t_list}
-        for snapshots in _walk_chunks(
+        for _, snapshots in _walk_chunks(
                 m, np.asarray(x.coords), t_max, n_steps, derive_seed(seed, 11, xi),
                 n_paths, lambda walk: _kato_snapshots(walk, potential, marks),
                 chunk_size=KATO_CHUNK, threads=threads):

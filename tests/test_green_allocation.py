@@ -167,6 +167,18 @@ def test_small_path_count_runs_no_pilot(mode, value):
     assert "path-steps pilot=0 " in est.notes
 
 
+@pytest.mark.parametrize("mode, value", [("bismut", "-0x1.8ab5cb53caaecp-3"),
+                                         ("mixed", "-0x1.cbf29d8739c7ep-4")])
+def test_oblique_pair_golden(mode, value):
+    # v and w with no zero frame component, so each <Q v, Q w> sums two
+    # nonzero products and its rounding reaches the value
+    m, f, x, _ = _s2_case()
+    est = estimate_green_hess(m, f, x, tv(m, x, [0.8, 0.6]), tv(m, x, [0.3, 0.7]),
+                              HessianEstimatorConfig(sigma=SIGMA, n_nodes=12),
+                              n_paths=64, h=0.02, seed=13, mode=mode)
+    assert est.scalar.hex() == value
+
+
 @pytest.mark.parametrize("mode", ["bismut", "mixed"])
 def test_count_rule_on_sphere(mode):
     est, calls = _recorded(mode)

@@ -149,6 +149,28 @@ def test_pack_waves_longest_first_within_both_bounds(d, antithetic, shapes, budg
     assert sorted(single) == list(range(len(groups)))
 
 
+def _owned_size(a):
+    while a.base is not None:
+        a = a.base
+    return a.size
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_wave_footprint_is_the_walks_increment_arrays(antithetic):
+    # after the first refill the walk holds its wave buffer and one draw per
+    # group: the first group is over the patched budget and draws a block
+    # span, the second draws its whole walk
+    m = Sphere(3, 1.0)
+    groups = [WalkGroup(7, 1.0, 300, 0, 200), WalkGroup(9, 0.5, 90, 0, 40)]
+    with mock.patch.object(transport, "_DRAW_BUDGET", 20000):
+        walk = ChunkWalk(m, m.base_point(), antithetic=antithetic, groups=groups)
+        next(walk.steps())
+        footprint = transport._wave_footprint(groups, m.dim, antithetic)
+    drawn = [z for _, z in walk._drawn]
+    assert drawn[0].shape[1] < 300 and drawn[1].shape[1] == 90
+    assert walk._buf.size + sum(_owned_size(z) for z in drawn) == footprint
+
+
 def test_green_curved_main_walk_steps(monkeypatch):
     # S^2, f = z at z = 0.8, sigma 3, h 0.01, 2000 paths: the main waves,
     # packed longest first, walk this many steps one after another

@@ -243,8 +243,8 @@ def _w_terminal_moment(m, t, n_steps, n_paths, seed, pair="orthonormal"):
         return np.sum(W ** 2, axis=0)
 
     # chunked, so memory holds one chunk's walk rather than all paths
-    sq = np.concatenate(list(_walk_chunks(m, m.base_point(), t, n_steps, seed,
-                                          n_paths, observe)))
+    sq = np.concatenate([v for _, v in _walk_chunks(m, m.base_point(), t, n_steps,
+                                                    seed, n_paths, observe)])
     return sq.mean(), sq.std(ddof=1) / math.sqrt(n_paths)
 
 

@@ -14,9 +14,6 @@ from mheat.geometry import (
     Sphere,
     TangentVector,
     Torus,
-    _column_sq,
-    _frame_combination,
-    _rank_one_move,
     coordinate_field,
 )
 from mheat.semigroup import estimate_hess, estimate_pt
@@ -92,49 +89,6 @@ def test_walk_step_matches_exp_transport_retract(kind, d, geo, n, step, n_zero, 
     if zero.any():
         assert np.array_equal(F_new[zero], F[zero])
         assert np.max(np.abs(X_new[zero] - m.retract(X[zero]))) < tol
-
-
-def _general_scale_step(m, P, F, dB):
-    # the walk step with every scaling by a applied, in the order of the
-    # general-scale formulas, as a bitwise reference at unit scale
-    V = _frame_combination(F, dB)
-    if m.kind == "sphere":
-        a = m.radius
-        s = np.sqrt(_column_sq(V))
-        cs, sn = np.cos(s / a), np.sin(s / a)
-        P, F = _rank_one_move(P, F, dB, V, s, cs, a * sn, -sn / a)
-        P *= a / np.sqrt(_column_sq(P))
-        return P, F
-    a = m.scale
-    s = np.sqrt(np.maximum(_column_sq(V[:-1]) - V[-1] * V[-1], 0.0))
-    ch, sh = np.cosh(a * s), np.sinh(a * s)
-    P, F = _rank_one_move(P, F, dB, V, s, ch, sh / a, a * sh)
-    P *= 1.0 / (a * np.sqrt(P[-1] * P[-1] - _column_sq(P[:-1])))
-    return P, F
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["sphere", "hyperbolic"]),
-       d=st.sampled_from([2, 3]),
-       n=st.integers(1, 12),
-       step=st.floats(1e-4, 0.8),
-       n_zero=st.integers(0, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_unit_scale_walk_step_is_bitwise_the_general_formula(kind, d, n, step, n_zero,
-                                                            seed):
-    # at unit radius or scale the walk step skips its scalings by a, which
-    # are exact there; points and frames must not move by a bit
-    m = _model(kind, d, 1.0)
-    rng = np.random.default_rng(seed)
-    X = m.random_points(rng, n, spread=0.5)
-    P = np.ascontiguousarray(X.T)
-    F = np.ascontiguousarray(m.frame(X).transpose(1, 2, 0))
-    dB = step * rng.standard_normal((d, n))
-    dB[:, :n_zero] = 0.0
-    P_new, F_new = m.walk_step(P, F, dB)
-    P_ref, F_ref = _general_scale_step(m, P, F, dB)
-    assert np.array_equal(P_new, P_ref)
-    assert np.array_equal(F_new, F_ref)
 
 
 @pytest.mark.parametrize("m", [Sphere(2, 1.0), Hyperbolic(3, 0.8), Torus(2)],
