@@ -14,7 +14,11 @@ Every kind that walks paths, ``simulate`` included, observes fixed chunks
 of them through :mod:`mheat.semigroup`; ``--threads`` leaves payloads as is.
 
 Exit codes: 0 all checks passed or were inconclusive within their declared
-tolerances, 1 at least one check failed, 2 configuration error.
+tolerances, 1 at least one check failed, 2 configuration error.  Every
+parameter error is found before the run (``load_config`` builds the run's
+inputs), so it exits 2 and writes no outputs.  A key a config leaves out
+takes the default of the library function it goes to; ``mode`` (bismut |
+mixed) applies to the ``hess`` and ``green-hess`` estimates.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ CHECK_REGISTRY = {
 def make_field(m: ManifoldModel, name: str, params: dict):
     params = dict(params or {})
     if name == "const":
-        return const_field(m, float(params.get("c", 1.0)))
+        return const_field(m, **_kwargs(params, c=float))
     if name == "coord-x1":
         return coordinate_field(m, axis=0)
     if name == "coord-z":
@@ -149,14 +153,10 @@ def make_field(m: ManifoldModel, name: str, params: dict):
     if name == "sin-x1":
         return sin_coordinate_field(m)
     if name == "gauss-bump":
-        center = params.get("center")
-        return gaussian_bump_field(m, center=center,
-                                   lam=float(params.get("lam", 2.0)))
+        return gaussian_bump_field(m, **_kwargs(params, center=_floats, lam=float))
     if name == "compact-bump":
-        center = params.get("center")
-        return compact_bump_field(m, center=center,
-                                  r0=float(params.get("r0", 0.3)))
-    raise ConfigError(f"unknown field {name!r}; see `mheat list fields`")
+        return compact_bump_field(m, **_kwargs(params, center=_floats, r0=float))
+    raise ConfigError(f"field {name!r} is unknown; see `mheat list fields`")
 
 
 def make_potential(m: ManifoldModel, name: str, params: dict):
@@ -164,12 +164,12 @@ def make_potential(m: ManifoldModel, name: str, params: dict):
     if name == "zero":
         return const_field(m, 0.0)
     if name == "const":
-        return const_field(m, float(params.get("c", 1.0)))
+        return const_field(m, **_kwargs(params, c=float))
     if name == "curvature-r2":
         return curvature_squared_potential(m)
     if name == "ricgrad-r2":
         return ric_grad_squared_potential(m)
-    raise ConfigError(f"unknown potential {name!r}; see `mheat list potentials`")
+    raise ConfigError(f"potential {name!r} is unknown; see `mheat list potentials`")
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +202,62 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            kind=d["kind"], manifold=dict(d["manifold"]),
-            seed=int(d.get("seed", 0)), n_paths=int(d.get("n_paths", 10000)),
-            h=float(d.get("h", 0.005)), threads=d.get("threads"),
-            out_dir=str(d.get("out_dir", "mheat-out")),
-            params=dict(d.get("params", {})))
+        return ExperimentConfig(**{**d, "manifold": dict(d["manifold"]),
+                                   "params": dict(d.get("params", {}))})
 
     def build_manifold(self) -> ManifoldModel:
         spec = self.manifold
-        try:
-            return make_manifold(spec.get("kind", ""), int(spec.get("dim", 2)),
-                                 radius=float(spec.get("radius", 1.0)),
-                                 curvature_scale=float(spec.get("curvature_scale", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_manifold(spec.get("kind", ""), _param(spec, "dim", int, 2),
+                             **_kwargs(spec, radius=float, curvature_scale=float))
 
 
-VALID_KINDS = ("simulate", "estimate", "verify", "czscan")
+def _param(p: dict, key: str, conv, default=None):
+    """``conv(p[key])``, or ``default`` when ``p`` does not set the key; a
+    value ``conv`` rejects raises a ValueError that starts with the key."""
+    if key not in p:
+        return default
+    try:
+        return conv(p[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} = {p[key]!r}: {exc}") from exc
 
 
-def _grid_from_spec(spec, default) -> np.ndarray:
-    if spec is None:
-        return np.asarray(default, dtype=float)
+def _kwargs(p: dict, **convs) -> dict:
+    """The keys of ``p`` named in ``convs``, converted; a key the config
+    leaves out takes the default of the function the keywords go to."""
+    return {key: _param(p, key, conv) for key, conv in convs.items() if key in p}
+
+
+def _floats(spec) -> np.ndarray:
+    return np.asarray(spec, dtype=float)
+
+
+def _positive(spec) -> float:
+    value = float(spec)
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _times(spec) -> list:
+    t_list = [float(t) for t in spec]
+    if not t_list or min(t_list) <= 0:
+        raise ValueError("must be a non-empty list of positive times")
+    return t_list
+
+
+def _sizes(spec) -> list:
+    sizes = [int(n) for n in spec] if isinstance(spec, list) else []
+    if not sizes or min(sizes) < 1:
+        raise ValueError("must be a non-empty list of positive sizes")
+    return sizes
+
+
+def _grid_from_spec(spec) -> np.ndarray:
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
+        return _floats(spec)
+    if not isinstance(spec, dict) or not {"min", "max", "n"} <= spec.keys():
+        raise ValueError("must be a list or a table with min, max and n")
     lo = float(spec["min"])
     hi = float(spec["max"])
     n = int(spec["n"])
@@ -238,8 +269,9 @@ def _grid_from_spec(spec, default) -> np.ndarray:
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a TOML experiment config.
 
-    Raises :class:`ConfigError` whose message carries the config path and,
-    when the offending key can be located, its line number.
+    Validation builds the run's plan (:func:`_plan`).  Raises
+    :class:`ConfigError` whose message carries the config path and, when
+    the offending key can be located, its line number.
     """
     try:
         with open(path, "rb") as fh:
@@ -259,36 +291,24 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{loc}: {message}")
 
     kind = data.get("kind")
-    if kind not in VALID_KINDS:
-        fail(f"kind must be one of {VALID_KINDS}, got {kind!r}", "kind")
+    if kind not in RUNNERS:
+        fail(f"kind must be one of {tuple(RUNNERS)}, got {kind!r}", "kind")
     man = data.get("manifold")
     if not isinstance(man, dict) or "kind" not in man:
         fail("missing [manifold] table with a 'kind' entry", "manifold")
     if man["kind"] not in MANIFOLD_REGISTRY:
         fail(f"unknown manifold kind {man['kind']!r}", "kind")
-    seed = int(data.get("seed", 0))
-    n_paths = int(data.get("n_paths", 10000))
-    h = float(data.get("h", 0.005))
-    if h <= 0:
-        fail("h must be positive", "h")
-    if n_paths < 2:
-        fail("n_paths must be at least 2", "n_paths")
     params = data.get(kind, {})
     if not isinstance(params, dict):
         fail(f"[{kind}] must be a table", kind)
-    cfg = ExperimentConfig(
-        kind=kind, manifold=dict(man), seed=seed, n_paths=n_paths, h=h,
-        threads=data.get("threads"), out_dir=str(data.get("out_dir", "mheat-out")),
-        params=dict(params))
-    # construct everything eagerly so numeric constraints surface now
-    m = cfg.build_manifold()
     try:
-        _validate_params(m, cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        key = _guess_key(str(exc))
-        fail(str(exc), key)
+        cfg = ExperimentConfig(
+            kind=kind, manifold=dict(man), params=dict(params),
+            **_kwargs(data, seed=int, n_paths=int, h=float, threads=int,
+                      out_dir=str))
+        _plan(cfg)
+    except (TypeError, ValueError) as exc:
+        fail(str(exc), _guess_key(str(exc)))
     return cfg
 
 
@@ -303,76 +323,6 @@ def _find_key_line(text: str, key: str) -> Optional[int]:
     if match is None:
         return None
     return text.count("\n", 0, match.start()) + 1
-
-
-def _bound_config(m: ManifoldModel, p: dict, cfg: ExperimentConfig) -> BoundCheckConfig:
-    kwargs = {}
-    for key in ("alpha", "beta", "gamma"):
-        if key in p:
-            kwargs[key] = float(p[key])
-    kwargs["t_grid"] = _grid_from_spec(p.get("t_grid"), np.linspace(0.01, 4.0, 20))
-    kwargs["rho_grid"] = _grid_from_spec(p.get("rho_grid"), np.linspace(0.0, 5.0, 20))
-    kwargs["s_grid"] = _grid_from_spec(p.get("s_grid"), np.geomspace(0.05, 2.0, 12))
-    kwargs["h"] = cfg.h
-    if "grid_resolution" in p:
-        kwargs["grid_resolution"] = int(p["grid_resolution"])
-    return BoundCheckConfig(**kwargs)
-
-
-def _validate_params(m: ManifoldModel, cfg: ExperimentConfig) -> None:
-    p = cfg.params
-    if cfg.kind == "verify":
-        check = p.get("check")
-        if check not in CHECK_REGISTRY or check == "czscan":
-            raise ConfigError(
-                f"check must be one of {sorted(k for k in CHECK_REGISTRY if k != 'czscan')}")
-        _bound_config(m, p, cfg)
-        if check == "gaffney" and float(p.get("p", 2.0)) < 2:
-            raise ValueError("p must be >= 2 for the gaffney check")
-        if check == "kato":
-            _kato_grid(_kato_t_list(p), cfg.h)
-        if check in ("semigroup-bounds", "kato") and cfg.n_paths < MIN_STAT_PATHS:
-            raise ValueError(f"n_paths must be at least {MIN_STAT_PATHS} "
-                             f"for the statistical check {check!r}")
-    elif cfg.kind == "estimate":
-        op = p.get("op")
-        if op not in ("pt", "grad", "hess", "green-hess"):
-            raise ConfigError("op must be one of pt | grad | hess | green-hess")
-        if p.get("field") is None:
-            raise ConfigError("estimate needs a field name")
-        make_field(m, p["field"], p.get("field_params"))
-        if op in ("hess",) and p.get("mode", "bismut") not in ("bismut", "mixed"):
-            raise ConfigError("mode must be bismut | mixed")
-        if float(p.get("t", 0.5)) <= 0:
-            raise ValueError("t must be positive")
-        if bool(p.get("antithetic", True)) and cfg.n_paths % 2:
-            raise ValueError("n_paths must be even for antithetic estimation "
-                             "(set antithetic = false for an odd count)")
-    elif cfg.kind == "czscan":
-        pval = float(p.get("p", 2.0))
-        if pval <= 1:
-            raise ValueError("p must exceed 1 for czscan")
-        if m.kind not in ("torus", "sphere"):
-            raise ConfigError("czscan runs on the torus or the unit sphere")
-        if m.kind == "sphere" and m.dim != 2:
-            raise ValueError("dim must be 2 for czscan on the sphere")
-        if m.kind == "sphere" and m.radius != 1.0:
-            raise ValueError("radius must be 1 for czscan on the sphere")
-        if m.kind == "torus" and m.dim != 2 and pval == 2.0:
-            raise ValueError("dim must be 2 for czscan on the torus at p = 2 "
-                             "(its Bochner residual is for the 2-torus)")
-        if int(p.get("degree", 8)) < 1:
-            raise ValueError("degree must be at least 1")
-        sizes = p.get("family_sizes", [50, 200])
-        if not isinstance(sizes, list) or not sizes or min(int(n) for n in sizes) < 1:
-            raise ValueError("family_sizes must be a non-empty list of positive sizes")
-    elif cfg.kind == "simulate":
-        if float(p.get("t", 1.0)) <= 0:
-            raise ValueError("t must be positive")
-
-
-def _kato_t_list(p: dict) -> list:
-    return [float(t) for t in p.get("t_list", [0.1 * k for k in range(1, 11)])]
 
 
 # ---------------------------------------------------------------------------
@@ -444,162 +394,212 @@ def _verdict(rep: BoundReport) -> dict:
 # ---------------------------------------------------------------------------
 # runners
 
-def _point_from(m: ManifoldModel, spec) -> Point:
-    if spec is None:
+def _point_from(m: ManifoldModel, p: dict, key: str) -> Point:
+    arr = _param(p, key, _floats)
+    if arr is None:
         return Point(m.base_point())
-    arr = np.asarray(spec, dtype=float)
     if arr.shape != (m.ambient_dim,):
-        raise ConfigError(
-            f"point must have {m.ambient_dim} ambient coordinates")
+        raise ValueError(f"{key} must have {m.ambient_dim} ambient coordinates")
     return Point(m.retract(arr[None, :])[0])
 
 
-def _tangent_from(m: ManifoldModel, x: Point, spec, default_axis=0) -> TangentVector:
+def _tangent_from(m: ManifoldModel, x: Point, p: dict, key: str,
+                  default_axis=0) -> TangentVector:
     F = m.frame(np.asarray(x.coords)[None, :])[0]
-    if spec is None:
+    coef = _param(p, key, _floats)
+    if coef is None:
         return TangentVector(x, F[default_axis])
-    coef = np.asarray(spec, dtype=float)
     if coef.shape != (m.dim,):
-        raise ConfigError(f"tangent coefficients must have length {m.dim}")
+        raise ValueError(f"{key} must have {m.dim} tangent coefficients")
     return TangentVector(x, np.einsum("d,da->a", coef, F))
 
 
-def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
+# Each runner reads, converts and checks every key its kind uses and builds
+# its cheap inputs (ValueError or TypeError on a bad parameter), then returns
+# the call that does the work and returns (tables, verdicts).
+
+def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig):
     p = cfg.params
-    t = float(p.get("t", 1.0))
+    t = _param(p, "t", _positive, 1.0)
     n_steps = _grid_steps(t, cfg.h)
-    x0 = np.asarray(_point_from(m, p.get("x0")).coords)
+    x0 = np.asarray(_point_from(m, p, "x0").coords)
 
     def observe(walk):
         walk.run()
         rho = m.distance(np.broadcast_to(x0, walk.points.shape), walk.points)
         return np.stack([rho ** 2, m.embedding_defect(walk.points)])
 
-    rho2, defects = np.concatenate([v for _, v in _walk_chunks(
-        m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe, threads=cfg.threads)],
-        axis=1)
-    msd = float(np.mean(rho2))
-    msd_se = float(np.std(rho2, ddof=1) / math.sqrt(cfg.n_paths))
-    defect = float(np.max(defects))
-    qn = float(q_decay_factor(m, t))
-    rows = [
-        ["mean_square_displacement", msd, msd_se, f"monte-carlo({msd_se:.3g})"],
-        ["flat_reference_2dt", 2.0 * m.dim * t, 0.0, "closed-form"],
-        ["max_embedding_defect", defect, 0.0, "closed-form"],
-        ["damped_transport_norm", qn, 0.0, "closed-form"],
-    ]
-    tables = {"simulate": {"columns": ["statistic", "value", "stderr",
-                                       "provenance"], "rows": rows}}
-    verdicts = [{"check": "simulate", "passed": bool(defect < 1e-10),
-                 "inconclusive": False}]
-    return _mk_report(cfg, tables, verdicts)
+    def run():
+        rho2, defects = np.concatenate([v for _, v in _walk_chunks(
+            m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe,
+            threads=cfg.threads)], axis=1)
+        msd = float(np.mean(rho2))
+        msd_se = float(np.std(rho2, ddof=1) / math.sqrt(cfg.n_paths))
+        defect = float(np.max(defects))
+        qn = float(q_decay_factor(m, t))
+        rows = [
+            ["mean_square_displacement", msd, msd_se, f"monte-carlo({msd_se:.3g})"],
+            ["flat_reference_2dt", 2.0 * m.dim * t, 0.0, "closed-form"],
+            ["max_embedding_defect", defect, 0.0, "closed-form"],
+            ["damped_transport_norm", qn, 0.0, "closed-form"],
+        ]
+        tables = {"simulate": {"columns": ["statistic", "value", "stderr",
+                                           "provenance"], "rows": rows}}
+        return tables, [{"check": "simulate", "passed": bool(defect < 1e-10),
+                         "inconclusive": False}]
+    return run
 
 
-def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
+def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
     p = cfg.params
-    f = make_field(m, p["field"], p.get("field_params"))
-    x = _point_from(m, p.get("point"))
-    t = float(p.get("t", 0.5))
-    op = p["op"]
+    op = p.get("op")
+    if op not in ("pt", "grad", "hess", "green-hess"):
+        raise ValueError("op must be one of pt | grad | hess | green-hess")
+    f = make_field(m, p.get("field"), p.get("field_params"))
+    x = _point_from(m, p, "point")
+    t = _param(p, "t", _positive, 0.5)
+    antithetic = _param(p, "antithetic", bool, True)
+    if antithetic and cfg.n_paths % 2:
+        raise ValueError("n_paths must be even for antithetic estimation "
+                         "(set antithetic = false for an odd count)")
     # Green walks each of its quadrature nodes on the grid of step h itself
     h = cfg.h if op == "green-hess" else t / _grid_steps(t, cfg.h, lo=2)
     common = dict(n_paths=cfg.n_paths, h=h, seed=cfg.seed,
-                  antithetic=bool(p.get("antithetic", True)),
-                  threads=cfg.threads)
+                  antithetic=antithetic, threads=cfg.threads)
     if op == "pt":
-        est = estimate_pt(m, f, x, t, **common)
+        estimate = lambda: estimate_pt(m, f, x, t, **common)
     elif op == "grad":
-        v = _tangent_from(m, x, p.get("v"))
-        est = estimate_grad(m, f, x, v, t, **common)
-    elif op == "hess":
-        v = _tangent_from(m, x, p.get("v"))
-        w = _tangent_from(m, x, p.get("w"), default_axis=min(1, m.dim - 1))
-        est = estimate_hess(m, f, x, v, w, t, mode=p.get("mode", "bismut"),
-                            **common)
+        v = _tangent_from(m, x, p, "v")
+        estimate = lambda: estimate_grad(m, f, x, v, t, **common)
     else:
-        v = _tangent_from(m, x, p.get("v"))
-        w = _tangent_from(m, x, p.get("w"), default_axis=min(1, m.dim - 1))
-        hcfg = HessianEstimatorConfig(
-            sigma=float(p.get("sigma", 1.0)),
-            theta=p.get("theta"),
-            n_nodes=int(p.get("n_nodes", 40)),
-            t_min=float(p.get("t_min", 1e-3)))
-        est = estimate_green_hess(m, f, x, v, w, hcfg, **common)
-    rows = [[est.mode, est.scalar, est.scalar_stderr,
-             est.qtol if est.qtol is not None else "",
-             f"monte-carlo({est.scalar_stderr:.3g})"]]
-    tables = {"estimate": {"columns": ["mode", "value", "stderr",
-                                       "quadrature_tolerance", "provenance"],
-                           "rows": rows}}
-    verdicts = [{"check": f"estimate-{op}", "passed": True,
-                 "inconclusive": est.variance_dominated}]
-    return _mk_report(cfg, tables, verdicts)
+        v = _tangent_from(m, x, p, "v")
+        w = _tangent_from(m, x, p, "w", default_axis=min(1, m.dim - 1))
+        if p.get("mode") not in (None, "bismut", "mixed"):
+            raise ValueError("mode must be bismut | mixed")
+        common.update(_kwargs(p, mode=str))
+        if op == "hess":
+            estimate = lambda: estimate_hess(m, f, x, v, w, t, **common)
+        else:
+            hcfg = HessianEstimatorConfig(**_kwargs(
+                p, sigma=float, theta=float, n_nodes=int, t_min=float))
+            estimate = lambda: estimate_green_hess(m, f, x, v, w, hcfg, **common)
+
+    def run():
+        est = estimate()
+        rows = [[est.mode, est.scalar, est.scalar_stderr,
+                 est.qtol if est.qtol is not None else "",
+                 f"monte-carlo({est.scalar_stderr:.3g})"]]
+        tables = {"estimate": {"columns": ["mode", "value", "stderr",
+                                           "quadrature_tolerance", "provenance"],
+                               "rows": rows}}
+        return tables, [{"check": f"estimate-{op}", "passed": True,
+                         "inconclusive": est.variance_dominated}]
+    return run
 
 
-def _run_verify(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
+def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
     p = cfg.params
-    check = p["check"]
-    bc = _bound_config(m, p, cfg)
-    tables = {}
-    verdicts = []
+    check = p.get("check")
+    if check not in CHECK_REGISTRY or check == "czscan":
+        raise ValueError(
+            f"check must be one of {sorted(k for k in CHECK_REGISTRY if k != 'czscan')}")
+    if check in ("semigroup-bounds", "kato") and cfg.n_paths < MIN_STAT_PATHS:
+        raise ValueError(f"n_paths must be at least {MIN_STAT_PATHS} "
+                         f"for the statistical check {check!r}")
+    bc = BoundCheckConfig(h=cfg.h, **_kwargs(
+        p, alpha=float, beta=float, gamma=float, t_grid=_grid_from_spec,
+        rho_grid=_grid_from_spec, s_grid=_grid_from_spec, grid_resolution=int))
     if check == "kernel-bounds":
-        reports = check_kernel_bounds(m, bc)
+        reports = lambda: check_kernel_bounds(m, bc)
     elif check == "weighted-l2":
-        reports = check_weighted_l2(m, bc)
+        reports = lambda: check_weighted_l2(m, bc)
     elif check == "gaffney":
-        reports = (check_gaffney(m, bc, p=float(p.get("p", 2.0)),
-                                 cap_radius=float(p.get("cap_radius", 0.3))),)
+        pval = _param(p, "p", float, 2.0)
+        if pval < 2:
+            raise ValueError("p must be >= 2 for the gaffney check")
+        opts = _kwargs(p, cap_radius=float)
+        reports = lambda: (check_gaffney(m, bc, p=pval, **opts),)
     elif check == "semigroup-bounds":
         f = make_field(m, p.get("field", "gauss-bump"), p.get("field_params"))
-        t_list = p.get("t_list", [0.25, 0.5, 1.0])
-        reports = check_semigroup_bounds(
-            m, f, bc, n_paths=cfg.n_paths, seed=cfg.seed,
-            t_list=[float(t) for t in t_list], threads=cfg.threads)
-    elif check == "kato":
-        name = p.get("potential", "const")
-        pot = make_potential(m, name, p.get("potential_params"))
-        res = kato_functional(m, pot, _kato_t_list(p),
-                              [_point_from(m, p.get("point"))],
-                              n_paths=cfg.n_paths, seed=cfg.seed, h=cfg.h,
-                              threads=cfg.threads)
-        cols = ["t", "functional", "functional_se", "expmom", "expmom_se",
-                "dropped", "provenance"]
-        tables["kato"] = {
-            "columns": cols,
-            "rows": [[r.get(c, "") for c in cols] for r in res.rows],
-            "fitted_constant": res.c_fit,
-            "aux_constants": {"theta": res.theta_fit},
-            "passed": res.nondecreasing and res.vanishes_at_zero,
-            "notes": f"C={res.c_fit:.6g} theta={res.theta_fit:.6g}",
-        }
-        verdicts.append({"check": "kato",
-                         "passed": bool(res.nondecreasing and res.vanishes_at_zero),
-                         "inconclusive": False})
-        reports = ()
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigError(f"unknown check {check!r}")
-    for rep in reports:
-        tables[rep.inequality_id] = _report_to_table(rep)
-        verdicts.append(_verdict(rep))
-    return _mk_report(cfg, tables, verdicts)
-
-
-def _run_czscan(m: ManifoldModel, cfg: ExperimentConfig) -> RunReport:
-    p = cfg.params
-    pval = float(p.get("p", 2.0))
-    sigma = float(p.get("sigma", 1.0))
-    degree = int(p.get("degree", 8))
-    sizes = [int(n) for n in p.get("family_sizes", [50, 200])]
-    count = max(sizes)
-    g = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-    if m.kind == "torus":
-        fam = random_trig_polynomials(m, degree, count, g)
+        opts = _kwargs(p, t_list=_times)
+        reports = lambda: check_semigroup_bounds(
+            m, f, bc, n_paths=cfg.n_paths, seed=cfg.seed, threads=cfg.threads,
+            **opts)
     else:
-        fam = random_spherical_polynomials(m, degree, count, g)
-    rep = cz_scan(m, fam, p=pval, sigma=sigma, family_sizes=sizes,
-                  grid_resolution=p.get("grid_resolution"))
-    tables = {rep.inequality_id: _report_to_table(rep)}
-    return _mk_report(cfg, tables, [_verdict(rep)])
+        pot = make_potential(m, p.get("potential", "const"),
+                             p.get("potential_params"))
+        t_list = _param(p, "t_list", _times, [0.1 * k for k in range(1, 11)])
+        _kato_grid(t_list, cfg.h)
+        x = _point_from(m, p, "point")
+
+        def reports():
+            res = kato_functional(m, pot, t_list, [x], n_paths=cfg.n_paths,
+                                  seed=cfg.seed, h=cfg.h, threads=cfg.threads)
+            return (BoundReport(
+                "kato", res.rows, res.c_fit,
+                res.nondecreasing and res.vanishes_at_zero,
+                notes=f"C={res.c_fit:.6g} theta={res.theta_fit:.6g}",
+                aux_constants={"theta": res.theta_fit}),)
+
+    def run():
+        reps = reports()
+        return ({rep.inequality_id: _report_to_table(rep) for rep in reps},
+                [_verdict(rep) for rep in reps])
+    return run
+
+
+def _run_czscan(m: ManifoldModel, cfg: ExperimentConfig):
+    p = cfg.params
+    pval = _param(p, "p", float, 2.0)
+    sigma = _param(p, "sigma", float, 1.0)
+    degree = _param(p, "degree", int, 8)
+    sizes = _param(p, "family_sizes", _sizes, [50, 200])
+    resolution = _param(p, "grid_resolution", int)
+    if pval <= 1:
+        raise ValueError("p must exceed 1 for czscan")
+    if m.kind not in ("torus", "sphere"):
+        raise ValueError("czscan runs on the torus or the unit sphere")
+    if m.kind == "sphere" and m.dim != 2:
+        raise ValueError("dim must be 2 for czscan on the sphere")
+    if m.kind == "sphere" and m.radius != 1.0:
+        raise ValueError("radius must be 1 for czscan on the sphere")
+    if m.kind == "torus" and m.dim != 2 and pval == 2.0:
+        raise ValueError("dim must be 2 for czscan on the torus at p = 2 "
+                         "(its Bochner residual is for the 2-torus)")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if resolution is not None and resolution < 2:
+        raise ValueError("grid_resolution must be at least 2")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative for czscan")
+
+    def run():
+        g = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+        if m.kind == "torus":
+            fam = random_trig_polynomials(m, degree, max(sizes), g)
+        else:
+            fam = random_spherical_polynomials(m, degree, max(sizes), g)
+        rep = cz_scan(m, fam, p=pval, sigma=sigma, family_sizes=sizes,
+                      grid_resolution=resolution)
+        return {rep.inequality_id: _report_to_table(rep)}, [_verdict(rep)]
+    return run
+
+
+RUNNERS = {
+    "simulate": _run_simulate,
+    "estimate": _run_estimate,
+    "verify": _run_verify,
+    "czscan": _run_czscan,
+}
+
+
+def _plan(cfg: ExperimentConfig):
+    """Check every parameter of ``cfg`` and return the call that runs it."""
+    if cfg.h <= 0:
+        raise ValueError("h must be positive")
+    if cfg.n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
+    return RUNNERS[cfg.kind](cfg.build_manifold(), cfg)
 
 
 def _mk_report(cfg: ExperimentConfig, tables: dict, verdicts: list) -> RunReport:
@@ -610,14 +610,6 @@ def _mk_report(cfg: ExperimentConfig, tables: dict, verdicts: list) -> RunReport
     status = 0 if all(v["passed"] or v["inconclusive"] for v in verdicts) else 1
     return RunReport(config=cfg.to_dict(), tables=tables, verdicts=verdicts,
                      versions=versions, exit_status=status)
-
-
-RUNNERS = {
-    "simulate": _run_simulate,
-    "estimate": _run_estimate,
-    "verify": _run_verify,
-    "czscan": _run_czscan,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +675,13 @@ def run_config(path: str, threads: Optional[int] = None,
         cfg.out_dir = out_dir
     if seed is not None:
         cfg.seed = seed
-    m = cfg.build_manifold()
+    try:
+        run = _plan(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     started = time.monotonic()
     try:
-        report = RUNNERS[cfg.kind](m, cfg)
+        report = _mk_report(cfg, *run())
     except Exception as exc:
         os.makedirs(cfg.out_dir, exist_ok=True)
         manifest = {"status": "aborted", "error": f"{type(exc).__name__}: {exc}",

@@ -131,7 +131,7 @@ class HessianEstimatorConfig:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.n_nodes < 4:
-            raise ValueError("need at least 4 quadrature nodes")
+            raise ValueError("n_nodes must be at least 4")
         if not (0 < self.t_min):
             raise ValueError("t_min must be positive")
 

@@ -111,6 +111,8 @@ class BoundCheckConfig:
         if not (0.0 < self.beta < 2.0 * self.alpha):
             raise ValueError(
                 f"beta = {self.beta} violates beta < 2*alpha (alpha = {self.alpha})")
+        if self.grid_resolution < 2:
+            raise ValueError("grid_resolution must be at least 2")
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         self.rho_grid = np.asarray(self.rho_grid, dtype=float)
         self.s_grid = np.asarray(self.s_grid, dtype=float)

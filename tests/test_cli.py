@@ -1,9 +1,11 @@
 """CLI runner: config validation, outputs, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -338,6 +340,32 @@ n_nodes = 4
     assert seen == [0.3]
 
 
+@pytest.mark.parametrize("mode, expected", [
+    ("", "green-mixed"),    # automatic: coord-z has oracles
+    ('mode = "bismut"', "green-bismut"),
+])
+def test_green_hess_honours_mode(tmp_path, mode, expected):
+    report = run_config(write(tmp_path, f"""
+kind = "estimate"
+seed = 5
+n_paths = 64
+h = 0.05
+out_dir = "{tmp_path / 'out'}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+
+[estimate]
+op = "green-hess"
+field = "coord-z"
+sigma = 3.0
+n_nodes = 4
+{mode}
+"""))
+    assert report.tables["estimate"]["rows"][0][0] == expected
+
+
 KATO_CFG = """
 kind = "verify"
 seed = 3
@@ -557,3 +585,73 @@ def test_odd_path_count_runs_without_antithetic(tmp_path):
         kind="estimate", n_paths=1001, out=tmp_path / "out",
         params='op = "pt"\nfield = "coord-z"\nt = 0.05\nantithetic = false'))
     assert run_config(cfg).exit_status == 0
+
+
+PARAM_CFG = """kind = "{kind}"
+{top}
+n_paths = 1000
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+
+[{kind}]
+{params}
+"""
+GREEN = 'op = "green-hess"\nfield = "coord-z"\nn_nodes = 4'
+
+
+@pytest.mark.parametrize("kind,params,bad", [
+    ("estimate", GREEN, "sigma = -1.0"),
+    ("estimate", 'op = "green-hess"\nfield = "coord-z"', "n_nodes = 2"),
+    ("czscan", "family_sizes = [2, 4]", "grid_resolution = 1"),
+    ("verify", 'check = "semigroup-bounds"', "t_list = [-0.5]"),
+    ("estimate", 'op = "pt"\nfield = "coord-z"', 'seed = "one"'),
+    ("estimate", 'op = "pt"\nfield = "coord-z"', 'threads = "two"'),
+    ("estimate", GREEN, "sigma = [3.0]"),
+    ("estimate", GREEN, 'theta = "big"'),
+    ("estimate", GREEN, "t_min = 0"),
+    ("estimate", GREEN, 'mode = "bogus"'),
+    ("verify", 'check = "kernel-bounds"', "grid_resolution = 1"),
+    ("verify", 'check = "kernel-bounds"', "t_grid = { min = 0.1, n = 3 }"),
+    ("czscan", "family_sizes = [2, 4]", "seed = -1"),
+], ids=["sigma-negative", "n_nodes-2", "grid_resolution-1", "t_list-negative",
+        "seed-string", "threads-string", "sigma-list", "theta-string",
+        "t_min-0", "mode-bogus", "verify-grid_resolution-1", "t_grid-no-max",
+        "czscan-seed-negative"])
+def test_parameter_error_is_config_error(tmp_path, kind, params, bad):
+    # every parameter is read and checked before the run: exit 2, no outputs
+    out = tmp_path / "out"
+    top_level = bad.startswith(("seed", "threads"))
+    text = PARAM_CFG.format(kind=kind, out=out,
+                            top=bad if top_level else "seed = 1",
+                            params=params if top_level else f"{params}\n{bad}")
+    cfg = write(tmp_path, text)
+    line = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(cfg)}:{line}: "):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not out.exists()
+
+
+# sha256 of the sort-keys JSON of each shipped config's tables and verdicts
+SHIPPED_GOLDEN = {
+    "czscan_t2_p2.toml": "ce3979f2c427fb135609c2c036040f8e0b9b62291c8424e447f366d585856c95",
+    "derivative_t2.toml": "b15017019e95dfc9ac60611f26ecde7e054c3f14052ae17b3073b4f9e102db08",
+    "kato_sphere.toml": "a2f1e95afacdecf364e57c2bcefb9e8c1e8f5ed519381e8fa0983e08bbc04b53",
+    "kernel_bounds_r2.toml": "9e641d2560af639434a94dcff65766d7c9249833e40d158e83eebbc261a461f2",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shipped_configs_golden(tmp_path, threads):
+    assert sorted(SHIPPED_GOLDEN) == sorted(
+        n for n in os.listdir(CONFIG_DIR) if n.endswith(".toml"))
+    for name, digest in SHIPPED_GOLDEN.items():
+        out = tmp_path / f"{name}-{threads}"
+        run_config(os.path.join(CONFIG_DIR, name), threads=threads, out_dir=str(out))
+        payload = json.loads((out / "summary.json").read_text())["payload"]
+        blob = json.dumps({"tables": payload["tables"],
+                           "verdicts": payload["verdicts"]}, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, name
