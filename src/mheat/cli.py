@@ -63,6 +63,7 @@ from .geometry import (
 )
 from .semigroup import (
     HessianEstimatorConfig,
+    _require_oracles,
     _walk_chunks,
     estimate_grad,
     estimate_green_hess,
@@ -75,6 +76,7 @@ from .verify import (
     MIN_STAT_PATHS,
     BoundCheckConfig,
     BoundReport,
+    _gaffney_caps,
     _kato_grid,
     check_gaffney,
     check_kernel_bounds,
@@ -271,36 +273,33 @@ def load_config(path: str) -> ExperimentConfig:
 
     Validation builds the run's plan (:func:`_plan`).  Raises
     :class:`ConfigError` whose message carries the config path and, when
-    the offending key can be located, its line number.
+    the offending key can be located, its line number: the line that sets
+    the key in its table, or the table's header when the key is missing.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
-        data = _toml.loads(raw.decode("utf-8"))
+            text = fh.read().decode("utf-8")
+        data = _toml.loads(text)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except Exception as exc:
         raise ConfigError(f"{path}: TOML parse error: {exc}") from exc
 
-    def fail(message: str, key: Optional[str] = None):
-        loc = path
-        if key is not None:
-            line = _find_key_line(raw.decode("utf-8"), key)
-            if line is not None:
-                loc = f"{path}:{line}"
-        raise ConfigError(f"{loc}: {message}")
+    def fail(message: str, table: Optional[str] = None, key: Optional[str] = None):
+        line = None if key is None else _find_key_line(text, key, table)
+        raise ConfigError(f"{path if line is None else f'{path}:{line}'}: {message}")
 
     kind = data.get("kind")
     if kind not in RUNNERS:
-        fail(f"kind must be one of {tuple(RUNNERS)}, got {kind!r}", "kind")
+        fail(f"kind must be one of {tuple(RUNNERS)}, got {kind!r}", None, "kind")
     man = data.get("manifold")
     if not isinstance(man, dict) or "kind" not in man:
-        fail("missing [manifold] table with a 'kind' entry", "manifold")
+        fail("missing [manifold] table with a 'kind' entry", "manifold", "kind")
     if man["kind"] not in MANIFOLD_REGISTRY:
-        fail(f"unknown manifold kind {man['kind']!r}", "kind")
+        fail(f"unknown manifold kind {man['kind']!r}", "manifold", "kind")
     params = data.get(kind, {})
     if not isinstance(params, dict):
-        fail(f"[{kind}] must be a table", kind)
+        fail(f"[{kind}] must be a table", None, kind)
     try:
         cfg = ExperimentConfig(
             kind=kind, manifold=dict(man), params=dict(params),
@@ -308,7 +307,8 @@ def load_config(path: str) -> ExperimentConfig:
                       out_dir=str))
         _plan(cfg)
     except (TypeError, ValueError) as exc:
-        fail(str(exc), _guess_key(str(exc)))
+        key = _guess_key(str(exc))
+        fail(str(exc), *(_key_table(data, kind, key) if key else ()))
     return cfg
 
 
@@ -317,12 +317,37 @@ def _guess_key(message: str) -> Optional[str]:
     return m.group(1) if m else None
 
 
-def _find_key_line(text: str, key: str) -> Optional[int]:
-    pat = re.compile(rf"^\s*{re.escape(key)}\s*=", re.MULTILINE)
-    match = pat.search(text)
-    if match is None:
-        return None
-    return text.count("\n", 0, match.start()) + 1
+def _key_table(data: dict, kind: str, key: str):
+    """(table, key) of the line that sets ``key`` in a valid config: the
+    run's table ``[kind]`` (a key of one of its inline tables, such as
+    ``field_params``, at that inline table's line), then ``[manifold]``,
+    then the top level (table None); the run's table when none sets it."""
+    params = data.get(kind, {})
+    if key in params:
+        return kind, key
+    for name, value in params.items():
+        if isinstance(value, dict) and key in value:
+            return kind, name
+    if key in data["manifold"]:
+        return "manifold", key
+    if key in data:
+        return None, key
+    return kind, key
+
+
+def _find_key_line(text: str, key: str, table: Optional[str] = None) -> Optional[int]:
+    """Line number of ``key = ...`` in ``table`` (None: the top level), else
+    of the table's header, else None."""
+    assign = re.compile(rf"\s*{re.escape(key)}\s*=")
+    current, header = None, None
+    for number, line in enumerate(text.splitlines(), 1):
+        match = re.match(r"\s*\[\s*([A-Za-z0-9_.-]+)\s*\]\s*(?:#.*)?$", line)
+        if match:
+            current = match.group(1)
+            header = number if current == table else header
+        elif current == table and assign.match(line):
+            return number
+    return header
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +494,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
     if op == "pt":
         estimate = lambda: estimate_pt(m, f, x, t, **common)
     elif op == "grad":
+        _require_oracles(f, "grad")
         v = _tangent_from(m, x, p, "v")
         estimate = lambda: estimate_grad(m, f, x, v, t, **common)
     else:
@@ -476,6 +502,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
         w = _tangent_from(m, x, p, "w", default_axis=min(1, m.dim - 1))
         if p.get("mode") not in (None, "bismut", "mixed"):
             raise ValueError("mode must be bismut | mixed")
+        _require_oracles(f, p.get("mode"))
         common.update(_kwargs(p, mode=str))
         if op == "hess":
             estimate = lambda: estimate_hess(m, f, x, v, w, t, **common)
@@ -512,15 +539,17 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
     if check == "kernel-bounds":
         reports = lambda: check_kernel_bounds(m, bc)
     elif check == "weighted-l2":
+        bc.require_gamma()
+        bc.require_tail_beta()
         reports = lambda: check_weighted_l2(m, bc)
     elif check == "gaffney":
         pval = _param(p, "p", float, 2.0)
-        if pval < 2:
-            raise ValueError("p must be >= 2 for the gaffney check")
         opts = _kwargs(p, cap_radius=float)
+        _gaffney_caps(m, pval, **opts)
         reports = lambda: (check_gaffney(m, bc, p=pval, **opts),)
     elif check == "semigroup-bounds":
         f = make_field(m, p.get("field", "gauss-bump"), p.get("field_params"))
+        _require_oracles(f, "mixed")
         opts = _kwargs(p, t_list=_times)
         reports = lambda: check_semigroup_bounds(
             m, f, bc, n_paths=cfg.n_paths, seed=cfg.seed, threads=cfg.threads,

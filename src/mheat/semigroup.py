@@ -25,12 +25,14 @@ Every Monte Carlo consumer (these estimators, verify's checks, the CLI's
 fixed-size chunks of paths on ``threads`` workers and returns observations
 in chunk order; folds in that order are bitwise reproducible for a given
 (seed, n_paths, chunk_size) regardless of threading.  The layer also walks
-several path sets (horizon, step count, stream, path count) at once: each
-chunk of each set is a group, and waves of whole groups, packed longest
-first, share one :class:`ChunkWalk`, so one walk step moves every group
-still walking.  A wave holds no more paths than the widest group and no
-more increment memory (wave buffer and draws) than the costliest one.
-Every group's values are bitwise those of a walk of that group alone.
+several path sets (horizon, step count, stream, path count and possibly
+start point) at once: each chunk of each set is a group, and waves of whole
+groups, packed longest first, share one :class:`ChunkWalk`, so one walk step
+moves every group still walking.  A wave holds no more paths than the widest
+group and no more increment memory (wave buffer and draws) than the
+costliest one.  Every group's values are bitwise those of a walk of that
+group alone.  A mixed-mode Hessian path set may carry several horizons on
+its step grid: it walks to the longest and is observed at each one's step.
 
 The Green operator integrates e^{-sigma t} Hess P_t f over log-time nodes,
 each an independent Hessian estimate on its own stream, and the nodes
@@ -295,10 +297,11 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
 
     A path set is one horizon ``t``, step count, stream ``seed`` and path
     count: scalars give one set, equal-length sequences several (Green's
-    quadrature nodes).  Each set is cut into chunks of ``chunk_size`` units
-    (with ``antithetic`` a unit is the pair of paths (2m, 2m + 1), and
-    observe's per-path values come back pair-averaged); one chunk of one
-    set is a group.
+    quadrature nodes).  Every set starts at the point ``x0``, or at its own
+    row of ``x0`` when that is one point per set.  Each set is cut into
+    chunks of ``chunk_size`` units (with ``antithetic`` a unit is the pair
+    of paths (2m, 2m + 1), and observe's per-path values come back
+    pair-averaged); one chunk of one set is a group.
 
     Groups walk in waves, one :class:`ChunkWalk` each, on ``threads``
     workers.  :func:`_pack_waves` packs whole groups longest first
@@ -318,13 +321,15 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     """
     t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
     per_unit = 2 if antithetic else 1
-    groups = [WalkGroup(seed[i], t[i], int(n_steps[i]), lo, hi, key=i)
+    per_set = np.ndim(x0) == 2
+    groups = [WalkGroup(seed[i], t[i], int(n_steps[i]), lo, hi, key=i,
+                        x0=x0[i] if per_set else None)
               for i, lo, hi in _chunk_groups(n_paths, antithetic, chunk_size)]
     waves = _pack_waves(groups, m.dim, antithetic, one_wave)
 
     def worker(w):
         wave = waves[w]
-        walk = ChunkWalk(m, x0, antithetic=antithetic,
+        walk = ChunkWalk(m, None if per_set else x0, antithetic=antithetic,
                          groups=[groups[j] for j in wave])
         values = observe(walk)
         if antithetic:
@@ -340,18 +345,6 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     # set's chunks share one step count, so each set's come in chunk order
     for results in _chunk_map(worker, len(waves), threads):
         yield from results
-
-
-def _walk_moments(m, x0, t, n_steps, seed, n_paths, observe, *,
-                  antithetic: bool = False, chunk_size: int = DEFAULT_CHUNK, **kw):
-    """Fold the moments of :func:`_walk_chunks` values per path set, each in
-    chunk order; a list with one :class:`RunningMoments` per set."""
-    t, n_steps, seed, n_paths = _sets(t, n_steps, seed, n_paths)
-    accs = [RunningMoments() for _ in n_paths]
-    for i, v in _walk_chunks(m, x0, t, n_steps, seed, n_paths, observe,
-                             antithetic=antithetic, chunk_size=chunk_size, **kw):
-        accs[i].update_batch(v)
-    return accs
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +380,11 @@ def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
         walk.run()
         return np.asarray(fn(walk.points, walk.frames), dtype=float)
 
-    (acc,) = _walk_moments(m, np.asarray(x.coords), t, n_steps, seed, n_paths,
-                           observe, antithetic=antithetic, chunk_size=chunk_size,
-                           threads=threads)
+    acc = RunningMoments()
+    for _, values in _walk_chunks(m, np.asarray(x.coords), t, n_steps, seed,
+                                  n_paths, observe, antithetic=antithetic,
+                                  chunk_size=chunk_size, threads=threads):
+        acc.update_batch(values)
     return McEstimate(acc.mean, acc.stderr(), n_paths, t, seed, mode)
 
 
@@ -398,8 +393,7 @@ def estimate_grad(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                   antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
                   threads: Optional[int] = None) -> McEstimate:
     """<grad P_t f(x), v> = E[<grad f(X_t), Q_t v>] via damped transport."""
-    if f.grad_fn is None:
-        raise ValueError("estimate_grad needs a gradient oracle for f")
+    _require_oracles(f, "grad")
     vbar, _ = _vw_components(m, x, v)
     qT = float(q_decay_factor(m, t))
 
@@ -431,8 +425,11 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
 
 @dataclass
 class _HessNode:
-    """Per-step coefficients of one horizon's Hessian estimator."""
+    """Per-step coefficients of one path set's Hessian estimator."""
 
+    t: list             # horizons, sorted; the set walks to the last
+    marks: list         # step count of each horizon
+    qT: list            # transport factor at each horizon
     qvals: np.ndarray   # damped-transport factor at each step's left node
     kd: np.ndarray      # kdot and ldot at the left nodes
     ld: np.ndarray
@@ -440,39 +437,62 @@ class _HessNode:
     qw: np.ndarray      # (n_steps, P, d) rows qvals[k] * wbar[p]
     qvw: np.ndarray     # (w_steps, P) <qvals[k] vbar[p], qvals[k] wbar[p]>
     w_steps: int        # steps whose W update is ever read
-    qT: float           # transport factor at the horizon
 
 
-def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
+def _require_oracles(f: ScalarField, mode: Optional[str]) -> None:
+    """The estimators' oracle check: ``grad`` needs f's gradient and
+    ``mixed`` its gradient, Hessian and Laplacian; the point-value modes
+    (``pt``, ``bismut``, or None) need nothing."""
+    if mode == "grad" and f.grad_fn is None:
+        raise ValueError(f"field {f.name!r} has no gradient oracle, which "
+                         f"estimate_grad needs")
+    if mode == "mixed" and not f.has_oracles:
+        raise ValueError(f"field {f.name!r} lacks the gradient, Hessian and "
+                         f"Laplacian oracles that mixed mode needs")
+
+
+def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
                 cfg: Optional[HessianEstimatorConfig], mode: str, *, t, h, seed,
                 n_paths, antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
                 threads: Optional[int] = None, one_wave: bool = False,
                 moments: bool = False):
-    """Hess P_t f(v, w)(x) at several horizons, one McEstimate per node.
+    """Hess P_t f(v, w) at several horizons and start points, one
+    McEstimate per (path set, horizon), in order.
 
-    Node i walks ``n_paths[i]`` paths of stream ``seed[i]`` over
-    ``[0, t[i]]`` at step ``h[i]``; every node's chunks are groups of the
-    batched walks of :func:`_walk_chunks`.  Per-step coefficients (step
-    size, damping, transport factor, profiles) are per path, and each node's
-    small products with its increments are taken on that group's own rows,
-    so each estimate is bitwise what a call for that node alone returns.
+    Set i walks ``n_paths[i]`` paths of stream ``seed[i]`` at step ``h[i]``
+    from the point ``x``, or from ``x[i]`` when ``x`` is a sequence of
+    points, one per set; every set's chunks are groups of the batched walks
+    of :func:`_walk_chunks`.  ``t[i]`` is the set's horizon or, in mixed
+    mode, a sorted sequence of horizons on its step grid: the set walks to
+    the last, and at each earlier horizon's step the observer reads that
+    horizon's samples off the same paths.  Mixed mode's per-step
+    coefficients (transport factor, damping, <Q v, Q w>) do not depend on
+    the horizon, so each sample is exactly the estimator at its horizon;
+    bismut's weights do, through kdot(s, t), so a bismut set takes one
+    horizon.  Per-step coefficients are per path, and each set's small
+    products with its increments are taken on that group's own rows, so
+    each estimate is bitwise what a call for that set alone returns.
     Variance-dominated estimates carry a note and no warning.
 
-    ``v`` and ``w`` are one pair of tangent vectors at x, whose estimates
-    are scalars, or a stack of P pairs given as (P, d) components in the
-    frame at x, whose estimates have one entry per pair; W then holds one
-    (d, n) block per pair.  With ``moments`` (a stack in mixed mode) each
-    path's samples go on with |f|^2, |df|^2 and |Hess f|_HS^2 at its
-    endpoint and the P x P Gram matrix of its W_t(v_p, w_p), row major.
+    ``v`` and ``w`` are one pair of tangent vectors at the point x, whose
+    estimates are scalars, or a stack of P pairs given as (P, d) components
+    in the frame at each start point, whose estimates have one entry per
+    pair; W then holds one (d, n) block per pair.  With ``moments`` (a stack
+    in mixed mode) each path's samples go on with |f|^2, |df|^2 and
+    |Hess f|_HS^2 at its endpoint and the P x P Gram matrix of its
+    W_t(v_p, w_p), row major.
     """
     if mode not in ("bismut", "mixed"):
         raise ValueError("mode must be 'bismut' or 'mixed'")
-    if mode == "mixed" and not f.has_oracles:
-        raise ValueError("mixed mode needs grad and Hessian oracles for f")
+    _require_oracles(f, mode)
     cfg = cfg or HessianEstimatorConfig()
     d = m.dim
     kappa = m.sectional_curvature
     one_pair = isinstance(v, TangentVector)
+    if isinstance(x, Point):
+        x0 = np.asarray(x.coords)
+    else:
+        x0 = np.array([p.coords for p in x], dtype=float)
     if one_pair:
         vbar, wbar = (c[None] for c in _vw_components(m, x, v, w))
     else:
@@ -480,12 +500,19 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
     P = len(vbar)
     nodes = []
     for ti, hi in zip(t, h):
+        ts = list(ti) if np.ndim(ti) else [ti]
+        if len(ts) > 1 and mode == "bismut":
+            raise ValueError("bismut weights depend on the horizon: "
+                             "a bismut path set takes one horizon")
+        if any(a > b for a, b in zip(ts, ts[1:])):
+            raise ValueError("a path set's horizons must be sorted")
+        marks = [_check_grid(tj, hi) for tj in ts]
+        t_end, n_steps = ts[-1], marks[-1]
         if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
-            cfg.validate_profiles(ti)
-        n_steps = _check_grid(ti, hi)
+            cfg.validate_profiles(t_end)
         svals = np.arange(n_steps) * hi
         qvals = q_decay_factor(m, svals)
-        kd = np.array([cfg.kdot(float(s), ti) for s in svals])
+        kd = np.array([cfg.kdot(float(s), t_end) for s in svals])
         qv, qw = qvals[:, None, None] * vbar, qvals[:, None, None] * wbar
         if kappa == 0.0:
             w_steps = 0  # W stays 0
@@ -495,12 +522,16 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
             # bismut reads W only where kdot is nonzero
             w_steps = int(np.flatnonzero(kd)[-1]) if np.any(kd) else 0
         nodes.append(_HessNode(
+            t=ts, marks=marks, qT=[float(q_decay_factor(m, tj)) for tj in ts],
             qvals=qvals, kd=kd,
-            ld=np.array([cfg.ldot(float(s), ti) for s in svals]),
+            ld=np.array([cfg.ldot(float(s), t_end) for s in svals]),
             damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
             # a stacked (1, d) @ (d, 1) matmul is np.dot's ddot, bit for bit
             qvw=np.matmul(qv[:w_steps, :, None, :], qw[:w_steps, :, :, None])[..., 0, 0],
-            w_steps=w_steps, qT=float(q_decay_factor(m, ti))))
+            w_steps=w_steps))
+    # one column block per horizon: a path's samples at its set's horizon j
+    # go to block j
+    n_blocks = max(len(nd.marks) for nd in nodes)
 
     def observe(walk):
         groups, bounds = walk.groups, walk.bounds
@@ -518,10 +549,14 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
         W = np.zeros((P, d, n))
         if mode == "bismut":
             IW, Iv, Iw = np.zeros((P, n)), np.zeros((P, n)), np.zeros((P, n))
-        vals = np.empty((n, P + (3 + P * P if moments else 0)))
+        vals = np.zeros((n, n_blocks, P + (3 + P * P if moments else 0)))
+        # (step, group, horizon) of every horizon before a group's last,
+        # latest first
+        marks = sorted(((k, g, j) for g, nd in enumerate(node)
+                        for j, k in enumerate(nd.marks[:-1])), reverse=True)
 
-        def finish(g):
-            # the group walked its last step: observe it on its own columns
+        def finish(g, j):
+            # group g is at horizon j: observe it on its own columns
             lo, hi = bounds[g], bounds[g + 1]
             points, frames = walk.group_state(g)
             if mode == "bismut":
@@ -529,7 +564,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
                 vg = (-0.5 * fv * IW[:, lo:hi]
                       + 0.25 * fv * Iw[:, lo:hi] * Iv[:, lo:hi]).T
             else:
-                qT = node[g].qT
+                qT = node[g].qT[j]
                 H = f.hess_fn(points, frames)
                 term1 = qT * qT * np.einsum("nij,pi,pj->np", H, vbar, wbar)
                 gc = frame_components(m, frames, f.grad_fn(points))
@@ -537,18 +572,21 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
                 vg = term1 + np.einsum("nd,pdn->np", gc, Wg)
             if not np.all(np.isfinite(vg)):
                 raise FloatingPointError("non-finite Hessian sample")
-            vals[lo:hi, :P] = vg
+            out = vals[lo:hi, j]
+            out[:, :P] = vg
             if moments:
-                vals[lo:hi, P] = f.eval_fn(points) ** 2
-                vals[lo:hi, P + 1] = np.sum(gc * gc, axis=1)
-                vals[lo:hi, P + 2] = np.sum(H * H, axis=(1, 2))
-                vals[lo:hi, P + 3:] = np.einsum(
+                out[:, P] = f.eval_fn(points) ** 2
+                out[:, P + 1] = np.sum(gc * gc, axis=1)
+                out[:, P + 2] = np.sum(H * H, axis=(1, 2))
+                out[:, P + 3:] = np.einsum(
                     "adn,bdn->nab", Wg, Wg).reshape(hi - lo, P * P)
 
         for k, dB in walk.steps():
             while groups[live - 1].n_steps == k:
                 live -= 1
-                finish(live)
+                finish(live, len(node[live].marks) - 1)
+            while marks and marks[-1][0] == k:
+                finish(*marks.pop()[1:])
             nl = bounds[live]
             dB = dB.T
             if mode == "bismut":
@@ -574,19 +612,28 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x: Point, v, w,
                     coef = np.repeat(tables[:, k, :live], width[:live], axis=1)
                 W = w_update(m, W[..., :nl], dB, vbar[..., None] * coef[0],
                              coef[2:, None], qw_dB[:, None], coef[1])
+        # horizons that end with the walk: a repeat of a last horizon
+        for _, g, j in marks:
+            finish(g, j)
         for g in range(live):
-            finish(g)
-        return vals[:, 0] if one_pair else vals
+            finish(g, len(node[g].marks) - 1)
+        return vals[..., 0] if one_pair else vals
 
-    accs = _walk_moments(m, np.asarray(x.coords), t, [len(nd.qvals) for nd in nodes],
-                         seed, n_paths, observe, antithetic=antithetic,
-                         chunk_size=chunk_size, threads=threads, one_wave=one_wave)
+    accs = [[RunningMoments() for _ in nd.marks] for nd in nodes]
+    for i, values in _walk_chunks(m, x0, [nd.t[-1] for nd in nodes],
+                                  [nd.marks[-1] for nd in nodes], seed, n_paths,
+                                  observe, antithetic=antithetic,
+                                  chunk_size=chunk_size, threads=threads,
+                                  one_wave=one_wave):
+        for j, acc in enumerate(accs[i]):
+            acc.update_batch(values[:, j])
     ests = []
-    for acc, ti, si, ni in zip(accs, t, seed, n_paths):
-        est = McEstimate(acc.mean, acc.stderr(), ni, ti, si, f"hess-{mode}")
-        if est.variance_dominated:
-            est.notes = "stderr exceeds |value|: variance-dominated estimate"
-        ests.append(est)
+    for nd, acc_i, si, ni in zip(nodes, accs, seed, n_paths):
+        for tj, acc in zip(nd.t, acc_i):
+            est = McEstimate(acc.mean, acc.stderr(), ni, tj, si, f"hess-{mode}")
+            if est.variance_dominated:
+                est.notes = "stderr exceeds |value|: variance-dominated estimate"
+            ests.append(est)
     return ests
 
 

@@ -8,13 +8,13 @@ is the geometric Laplacian (the heat semigroup convention used throughout:
 eigenfunctions decay like ``exp(-lambda t)`` with lambda the positive
 eigenvalue).
 
-The batched walk (:class:`ChunkWalk`) walks one or more groups of paths
-side by side, each with its own stream, step size and step count; a group
-that has walked its steps leaves the end of the live slice.  It stores its
-state coordinate major -- points (ambient, n), frames (d, ambient, n) and
-one (32, d, n) wave buffer of increments, refilled every 32 steps --
-so every per-step operation is a whole-row numpy call over the n paths
-rather than a reduction over a length-3 inner axis; past a fixed draw
+The batched walk (:class:`ChunkWalk`) walks one or more groups of paths side
+by side, each with its own stream, step size, step count and possibly start
+point; a group that has walked its steps leaves the end of the live slice.
+It stores its state coordinate major -- points (ambient, n), frames (d,
+ambient, n) and one (32, d, n) wave buffer of increments, refilled every 32
+steps -- so every per-step operation is a whole-row numpy call over the n
+paths rather than a reduction over a length-3 inner axis; past a fixed draw
 budget no array grows with the number of steps.  The increments a walk
 yields are views of that buffer, valid until the next step.  One step is
 :meth:`ManifoldModel.walk_step`: the move along ``V = sum_i dB_i F_i`` and
@@ -207,7 +207,8 @@ class PathRecord:
 
 class WalkGroup(NamedTuple):
     """Paths [path_lo, path_hi) of the stream ``seed``, walked ``n_steps``
-    steps of size t / n_steps; ``key`` labels the caller's path set."""
+    steps of size t / n_steps from ``x0`` (None: the walk's start point);
+    ``key`` labels the caller's path set."""
 
     seed: int
     t: float
@@ -215,6 +216,7 @@ class WalkGroup(NamedTuple):
     path_lo: int
     path_hi: int
     key: int = 0
+    x0: Optional[np.ndarray] = None
 
 
 def _spread(zT: np.ndarray, out: np.ndarray, path_lo: int, antithetic: bool) -> None:
@@ -242,9 +244,12 @@ class ChunkWalk:
     before the first step).
 
     All paths start at the same point, or at one point each when ``x0`` is
-    a batch.  The walk exposes a generator over steps; observers read
-    ``points``/``frames`` (state at the left node) and the yielded
-    increments, both in fixed path order.
+    a batch; with ``x0`` None each group starts at its own ``x0``, whose
+    frame is computed once and repeated over the group's columns, as for
+    one point, so the group walks bitwise as it would alone.  The walk
+    exposes a generator over steps; observers read ``points``/``frames``
+    (state at the left node) and the yielded increments, both in fixed path
+    order.
 
     State is held coordinate major -- points (ambient, n), frames
     (d, ambient, n) -- so that each step is one
@@ -288,8 +293,16 @@ class ChunkWalk:
         self._drawn = [(0, None)] * len(self.groups)  # (first step, draw)
         self._buf = np.empty((min(_BLOCK_STEPS, self.n_steps), m.dim, n))
         self._k0 = -1  # first step of the block in the buffer
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim == 2:
+        x0 = None if x0 is None else np.asarray(x0, dtype=float)
+        if x0 is None:
+            self._P = np.empty((m.ambient_dim, n))
+            self._F = np.empty((m.dim, m.ambient_dim, n))
+            for g, grp in enumerate(self.groups):
+                p = np.asarray(grp.x0, dtype=float)
+                cols = slice(self.bounds[g], self.bounds[g + 1])
+                self._P[:, cols] = p[:, None]
+                self._F[..., cols] = m.frame(p[None, :])[0][..., None]
+        elif x0.ndim == 2:
             if x0.shape[0] != n:
                 raise ValueError("batch of start points must match the path count")
             self._P = np.ascontiguousarray(x0.T)

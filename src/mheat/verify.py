@@ -16,7 +16,10 @@ The Monte Carlo checks (semigroup bounds, Kato functionals) run on the
 estimators' path layer of :mod:`mheat.semigroup`, in chunks of
 ``SEMIGROUP_CHUNK`` or ``KATO_CHUNK`` paths.  The semigroup bounds take the
 estimators' own Hessian observer, with all d^2 frame pairs as one stack of
-(v, w) pairs and its path moments; the Kato check hands the layer an
+(v, w) pairs and its path moments; their points are the path sets of one
+call per step size, and each point walks once to the longest horizon of
+that step, read at the shorter ones on the way, so that point's rows at
+those horizons are correlated.  The Kato check hands the layer an
 ``observe(walk)`` that snapshots potential integrals.  ``threads`` changes
 their wall time, not their results.
 """
@@ -49,8 +52,8 @@ from .oracle import (
     polar_grid,
     quadrature_grid,
 )
-from .semigroup import (RunningMoments, _hess_nodes, _walk_chunks, default_theta,
-                        derive_seed)
+from .semigroup import (RunningMoments, _hess_nodes, _require_oracles, _walk_chunks,
+                        default_theta, derive_seed)
 from .spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
@@ -79,6 +82,8 @@ SEMIGROUP_CHUNK = 8192
 KATO_CHUNK = 16384
 # the statistical checks allow 3 standard errors of slack
 _SLACK_NOTE = "confidence=0.997 (3-sigma slack)"
+# geodesic radius of the Gaffney caps
+_CAP_RADIUS = 0.3
 
 
 @dataclass
@@ -120,9 +125,14 @@ class BoundCheckConfig:
     def require_tail_beta(self) -> float:
         if not (0.0 < self.beta < self.alpha):
             raise ValueError(
-                f"tail estimate needs beta < alpha; got beta = {self.beta}, "
-                f"alpha = {self.alpha}")
+                f"beta = {self.beta}: the tail estimate needs beta < alpha "
+                f"(alpha = {self.alpha})")
         return self.beta
+
+    def require_gamma(self) -> float:
+        if self.gamma is None:
+            raise ValueError("gamma must be set for the weighted L2 check")
+        return self.gamma
 
 
 @dataclass
@@ -345,8 +355,7 @@ def _weighted_integrals(m: ManifoldModel, cfg: BoundCheckConfig, s: float,
 def _weighted_l2_reports(m: ManifoldModel, cfg: BoundCheckConfig,
                          s_grid: np.ndarray, t_grid: np.ndarray,
                          resolution: int):
-    if cfg.gamma is None:
-        raise ValueError("check_weighted_l2 needs gamma in the config")
+    cfg.require_gamma()
     beta = cfg.require_tail_beta()
     K = m.ricci_lower_bound
     grid = quadrature_grid(m, resolution)
@@ -461,20 +470,17 @@ def _gaffney_scan(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
     return norms, denom, ratios, c4_fit, c4_used, rho_ef, reliable
 
 
-def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
-                  cap_radius: float = 0.3,
+def _gaffney_caps(m: ManifoldModel, p: float, cap_radius: float = _CAP_RADIUS,
                   centerE: Optional[np.ndarray] = None,
-                  centerF: Optional[np.ndarray] = None) -> BoundReport:
-    """Off-diagonal decay of t |Hess P_t f| in L^p between disjoint caps.
-
-    The decay rate C4 is fitted by regressing the log of the normalized
-    norm on rho(E, F)^2 / t; reported ratios use 0.9 * C4 so that a genuine
-    Gaussian decay makes them tend to zero monotonically as t -> 0.
-    """
+                  centerF: Optional[np.ndarray] = None):
+    """The cap centres of :func:`check_gaffney`, by default the base point
+    and its antipode (on the torus, the point shifted by pi); a ValueError
+    unless p >= 2, the model is compact and the caps are disjoint."""
     if p < 2:
-        raise ValueError("p >= 2 for the off-diagonal Hessian scan")
+        raise ValueError(f"p = {p:g}: the off-diagonal Hessian scan needs p >= 2")
     if not isinstance(m, (Torus, Sphere)):
-        raise ValueError("off-diagonal scan needs a compact model")
+        raise ValueError(f"kind = {m.kind!r}: the off-diagonal scan needs a "
+                         f"compact model")
     if centerE is None:
         centerE = m.base_point()
     centerE = np.asarray(centerE, dtype=float)
@@ -486,7 +492,22 @@ def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
     centerF = np.asarray(centerF, dtype=float)
     sep = float(m.distance(centerE[None, :], centerF[None, :])[0])
     if sep <= 2 * cap_radius:
-        raise ValueError("caps overlap: rho(E, F) must be positive")
+        raise ValueError(f"cap_radius = {cap_radius:g}: the caps overlap, "
+                         f"rho(E, F) must be positive")
+    return centerE, centerF
+
+
+def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
+                  cap_radius: float = _CAP_RADIUS,
+                  centerE: Optional[np.ndarray] = None,
+                  centerF: Optional[np.ndarray] = None) -> BoundReport:
+    """Off-diagonal decay of t |Hess P_t f| in L^p between disjoint caps.
+
+    The decay rate C4 is fitted by regressing the log of the normalized
+    norm on rho(E, F)^2 / t; reported ratios use 0.9 * C4 so that a genuine
+    Gaussian decay makes them tend to zero monotonically as t -> 0.
+    """
+    centerE, centerF = _gaffney_caps(m, p, cap_radius, centerE, centerF)
     t_grid = cfg.t_grid
     base = _gaffney_scan(m, cfg, p, centerE, centerF, cap_radius, t_grid, 12, 20)
     fine = _gaffney_scan(m, cfg, p, centerE, centerF, cap_radius, t_grid, 18, 30)
@@ -516,18 +537,9 @@ def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
 # ---------------------------------------------------------------------------
 # semigroup bounds (shared-path Monte Carlo)
 
-def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
-                       n_paths: int, h: float, seed: int,
-                       threads: Optional[int] = None):
-    """Shared-path estimates of Hess P_t f and the domination ingredients:
-    the mixed Hessian samples of every frame pair (e_i, e_j), in C order, and
-    the path moments of :func:`mheat.semigroup._hess_nodes`."""
+def _sample_stats(m: ManifoldModel, est) -> dict:
+    """The domination ingredients in one estimate of :func:`_semigroup_sets`."""
     d = m.dim
-    eye = np.eye(d)
-    (est,) = _hess_nodes(m, f, x, np.repeat(eye, d, axis=0), np.tile(eye, (d, 1)),
-                         None, "mixed", t=[t], h=[t / _grid_steps(t, h, lo=2)],
-                         seed=[seed], n_paths=[n_paths], antithetic=False,
-                         chunk_size=SEMIGROUP_CHUNK, threads=threads, moments=True)
     mean, se = est.value, est.stderr
     dd = d * d
     gram_mean = mean[dd + 3:].reshape(dd, dd)
@@ -549,6 +561,59 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     }
 
 
+def _semigroup_sets(m: ManifoldModel, f: ScalarField, xs: Sequence[Point],
+                    ts: Sequence[float], h: float, seeds: Sequence[int],
+                    n_paths: int, threads: Optional[int] = None):
+    """Shared-path estimates of Hess P_t f and the domination ingredients at
+    every point of ``xs`` and horizon of ``ts`` (sorted, on the grid of step
+    h), as one list per point of one dict per horizon.
+
+    Point i walks ``n_paths`` paths of stream ``seeds[i]`` once, to the last
+    horizon, as one path set of :func:`mheat.semigroup._hess_nodes`; every
+    horizon is read off those paths.  The samples are the mixed Hessian
+    samples of every frame pair (e_i, e_j), in C order, and the path
+    moments.
+    """
+    d = m.dim
+    eye = np.eye(d)
+    ests = _hess_nodes(m, f, list(xs), np.repeat(eye, d, axis=0), np.tile(eye, (d, 1)),
+                       None, "mixed", t=[list(ts)] * len(xs), h=[h] * len(xs),
+                       seed=list(seeds), n_paths=[n_paths] * len(xs),
+                       antithetic=False, chunk_size=SEMIGROUP_CHUNK,
+                       threads=threads, moments=True)
+    J = len(ts)
+    return [[_sample_stats(m, e) for e in ests[i:i + J]]
+            for i in range(0, len(ests), J)]
+
+
+def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
+                       n_paths: int, h: float, seed: int,
+                       threads: Optional[int] = None):
+    """The samples of :func:`_semigroup_sets` at one point and horizon t,
+    walked round(t / h) steps, at least 2, at step t / n."""
+    ((sm,),) = _semigroup_sets(m, f, [x], [t], t / _grid_steps(t, h, lo=2),
+                               [seed], n_paths, threads)
+    return sm
+
+
+def _step_groups(t_list: Sequence[float], h: float):
+    """[step, indices] of the horizons of ``t_list`` whose walks take equal
+    steps t / n (n = round(t / h), at least 2); indices sorted by horizon,
+    and the step that of the longest."""
+    groups = []
+    for it in sorted(range(len(t_list)), key=lambda i: (float(t_list[i]), i)):
+        t = float(t_list[it])
+        step = t / _grid_steps(t, h, lo=2)
+        group = next((g for g in groups if math.isclose(step, g[0], rel_tol=1e-12)),
+                     None)
+        if group is None:
+            groups.append([step, [it]])
+        else:
+            group[0] = step
+            group[1].append(it)
+    return groups
+
+
 def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
                            cfg: BoundCheckConfig, n_paths: int, seed: int,
                            x_list: Optional[Sequence[Point]] = None,
@@ -559,19 +624,25 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     version, and the domination by (P_t |Hess f|^2)^{1/2} plus a gradient
     term weighted by the measured W moment.
 
-    Each (t, x) sample walks round(t / cfg.h) steps, at least 2, at step
-    t / n.  The norm report (b) takes |Hess P_t f| at the nodes of
-    :func:`quadrature_grid` by kernel quadrature over the same grid, at
-    resolution 12 on H^2, whose kernel pays Richardson differences of an
-    integral per (node, source) pair, and 32 on the other models.
-    ``include_lp=False`` skips (b), for callers that want only the Monte
-    Carlo reports (a) and (c); its report is then returned empty and marked
-    not passed with an explanatory note.
+    A horizon t walks n = round(t / cfg.h) steps, at least 2, of size
+    t / n.  Horizons whose steps agree share walks: each point walks once
+    per step size, to the longest such horizon, on the stream
+    ``derive_seed(seed, it, ix)`` of that horizon's row (``it`` its index
+    in ``t_list``, ``ix`` the point's), and the shorter horizons are read
+    off the same paths.  The rows of one point at such horizons are
+    therefore correlated; each keeps its own path count and standard
+    error and is judged on its own.  A horizon that shares its step with no
+    other walks alone, as it always has.  The norm report (b) takes
+    |Hess P_t f| at the nodes of :func:`quadrature_grid` by kernel
+    quadrature over the same grid, at resolution 12 on H^2, whose kernel
+    pays Richardson differences of an integral per (node, source) pair, and
+    32 on the other models.  ``include_lp=False`` skips (b), for callers
+    that want only the Monte Carlo reports (a) and (c); its report is then
+    returned empty and marked not passed with an explanatory note.
     """
     if n_paths < MIN_STAT_PATHS:
         raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
-    if not f.has_oracles:
-        raise ValueError("semigroup bound checks need full oracles for f")
+    _require_oracles(f, "mixed")
     K = m.ricci_lower_bound
     theta = default_theta(m)
     if t_list is None:
@@ -579,11 +650,17 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     if x_list is None:
         g = np.random.Generator(np.random.Philox(key=derive_seed(seed, 7)))
         x_list = [Point(p) for p in m.random_points(g, 5, spread=0.5)]
+    samples = {}
+    for step, members in _step_groups(t_list, cfg.h):
+        seeds = [derive_seed(seed, members[-1], ix) for ix in range(len(x_list))]
+        per_point = _semigroup_sets(m, f, x_list, [float(t_list[it]) for it in members],
+                                    step, seeds, n_paths, threads)
+        for ix, row in enumerate(per_point):
+            samples.update(((it, ix), sm) for it, sm in zip(members, row))
     rows_a, rows_c = [], []
     for it, t in enumerate(t_list):
-        for ix, x in enumerate(x_list):
-            sm = _semigroup_samples(m, f, x, float(t), n_paths, cfg.h,
-                                    derive_seed(seed, it, ix), threads)
+        for ix in range(len(x_list)):
+            sm = samples[it, ix]
             hnorm = float(np.linalg.norm(sm["hess"], 2))
             hse = float(np.max(sm["hess_se"])) * m.dim
             rhs_a = ((1.0 + math.sqrt(t)) * math.exp((2 * K + theta) * t)

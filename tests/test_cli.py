@@ -655,3 +655,62 @@ def test_shipped_configs_golden(tmp_path, threads):
         blob = json.dumps({"tables": payload["tables"],
                            "verdicts": payload["verdicts"]}, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, name
+
+
+CHECK_CFG = """kind = "{kind}"
+seed = 1
+n_paths = 1000
+out_dir = "{out}"
+
+[manifold]
+kind = "{manifold}"
+dim = 2
+
+[{kind}]
+{params}
+"""
+BUMP = 'field = "compact-bump"'
+
+
+@pytest.mark.parametrize("kind,manifold,params,bad", [
+    ("verify", "hyperbolic", 'check = "semigroup-bounds"', BUMP),
+    ("estimate", "sphere", 'op = "grad"', BUMP),
+    ("estimate", "sphere", 'op = "hess"\nmode = "mixed"', BUMP),
+    ("estimate", "sphere", 'op = "green-hess"\nmode = "mixed"', BUMP),
+    ("verify", "torus", 'check = "weighted-l2"\nalpha = 0.24', "[verify]"),
+    ("verify", "torus", 'check = "weighted-l2"\nalpha = 0.1\ngamma = 0.1',
+     "beta = 0.15"),
+    ("verify", "euclidean", 'check = "gaffney"', 'kind = "euclidean"'),
+    ("verify", "sphere", 'check = "gaffney"', "cap_radius = 1.6"),
+], ids=["semigroup-bounds-no-oracles", "grad-no-oracles", "hess-mixed-no-oracles",
+        "green-mixed-no-oracles", "weighted-l2-no-gamma", "weighted-l2-tail-beta",
+        "gaffney-not-compact", "gaffney-caps-overlap"])
+def test_check_requirement_is_config_error(tmp_path, kind, manifold, params, bad):
+    # requirements a library check tests as it starts are planned too: exit
+    # 2 at the offending line (a missing key: its table's header), no outputs
+    out = tmp_path / "out"
+    extra = "" if bad.startswith(("[", "kind")) else f"\n{bad}"
+    text = CHECK_CFG.format(kind=kind, out=out, manifold=manifold,
+                            params=params + extra)
+    cfg = write(tmp_path, text)
+    line = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(cfg)}:{line}: "):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad,line", [
+    # the top-level kind is on line 1, the manifold's on line 7
+    ('kind = "klein"', 7),
+    ('field_params = { lam = "x" }', 13),
+], ids=["manifold-kind", "inline-table"])
+def test_error_line_is_found_in_the_keys_table(tmp_path, bad, line):
+    text = CHECK_CFG.format(kind="estimate", out=tmp_path / "out",
+                            manifold="sphere", params='op = "pt"\nfield = "gauss-bump"')
+    text = text.replace('kind = "sphere"', bad) if bad.startswith("kind") \
+        else text + bad + "\n"
+    assert text.splitlines()[line - 1] == bad
+    cfg = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(cfg)}:{line}: "):
+        load_config(cfg)
