@@ -63,6 +63,7 @@ from .geometry import (
 )
 from .semigroup import (
     HessianEstimatorConfig,
+    _green_horizon,
     _require_oracles,
     _walk_chunks,
     estimate_grad,
@@ -452,12 +453,14 @@ def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig):
     def observe(walk):
         walk.run()
         rho = m.distance(np.broadcast_to(x0, walk.points.shape), walk.points)
-        return np.stack([rho ** 2, m.embedding_defect(walk.points)])
+        return np.stack([rho ** 2, m.embedding_defect(walk.points)], axis=1)
 
     def run():
-        rho2, defects = np.concatenate([v for _, v in _walk_chunks(
+        values = np.concatenate([v for _, v in _walk_chunks(
             m, x0, t, n_steps, cfg.seed, cfg.n_paths, observe,
-            threads=cfg.threads)], axis=1)
+            threads=cfg.threads)])
+        # one contiguous row per statistic, so each reduction sums as a row
+        rho2, defects = np.ascontiguousarray(values.T)
         msd = float(np.mean(rho2))
         msd_se = float(np.std(rho2, ddof=1) / math.sqrt(cfg.n_paths))
         defect = float(np.max(defects))
@@ -509,6 +512,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
         else:
             hcfg = HessianEstimatorConfig(**_kwargs(
                 p, sigma=float, theta=float, n_nodes=int, t_min=float))
+            _green_horizon(m, hcfg)
             estimate = lambda: estimate_green_hess(m, f, x, v, w, hcfg, **common)
 
     def run():

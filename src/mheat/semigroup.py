@@ -312,9 +312,9 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     ``transport._DRAW_BUDGET`` uniforms, else a few 32-step blocks).  One
     set's chunks therefore walk one per wave, and a long, narrow group takes
     shorter ones along.  With ``one_wave`` every group walks in one wave
-    (Green's pilot: at most 64 paths x 16 steps per node).  A wave's
-    observe(walk) returns values whose first axis runs over the walk's paths
-    when it holds several groups.  The walk moves each group's paths
+    (Green's pilot: at most 64 paths x 16 steps per node).  Every wave's
+    observe(walk) returns values whose first axis runs over the walk's
+    paths (ValueError otherwise).  The walk moves each group's paths
     bitwise as a walk of that group alone would, so an observer that takes
     each group's small products on the group's own rows (as the Hessian
     observer does) returns bitwise the same values, at any thread count.
@@ -323,22 +323,19 @@ def _walk_chunks(m: ManifoldModel, x0: np.ndarray, t, n_steps, seed, n_paths,
     per_unit = 2 if antithetic else 1
     per_set = np.ndim(x0) == 2
     groups = [WalkGroup(seed[i], t[i], int(n_steps[i]), lo, hi, key=i,
-                        x0=x0[i] if per_set else None)
+                        x0=x0[i] if per_set else x0)
               for i, lo, hi in _chunk_groups(n_paths, antithetic, chunk_size)]
     waves = _pack_waves(groups, m.dim, antithetic, one_wave)
 
     def worker(w):
         wave = waves[w]
-        walk = ChunkWalk(m, None if per_set else x0, antithetic=antithetic,
-                         groups=[groups[j] for j in wave])
+        walk = ChunkWalk(m, [groups[j] for j in wave], antithetic)
         values = observe(walk)
+        if np.shape(values)[:1] != (walk.bounds[-1],):
+            raise ValueError("a walk's observer returns one value per path")
         if antithetic:
             values = 0.5 * (values[0::2] + values[1::2])
-        if len(wave) == 1:
-            return [(groups[wave[0]].key, values)]
         b = [lo // per_unit for lo in walk.bounds]
-        if len(values) != b[-1]:
-            raise ValueError("a batched walk's observer returns one value per path")
         return [(groups[j].key, values[b[g]:b[g + 1]]) for g, j in enumerate(wave)]
 
     # waves are consecutive runs of the stable longest-first order, and a
@@ -489,10 +486,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
     d = m.dim
     kappa = m.sectional_curvature
     one_pair = isinstance(v, TangentVector)
-    if isinstance(x, Point):
-        x0 = np.asarray(x.coords)
-    else:
-        x0 = np.array([p.coords for p in x], dtype=float)
+    x0 = np.array(x.coords if isinstance(x, Point) else [p.coords for p in x], dtype=float)
     if one_pair:
         vbar, wbar = (c[None] for c in _vw_components(m, x, v, w))
     else:
@@ -659,6 +653,23 @@ def _neyman_counts(b: np.ndarray, steps: np.ndarray, n_paths: int,
     return n if n @ steps <= equal @ steps else equal
 
 
+def _green_horizon(m: ManifoldModel, cfg: HessianEstimatorConfig):
+    """(theta, decay rate sigma - 2K - theta, last node t_max) of the Green
+    quadrature; ValueError unless t_max > t_min (a reversed node grid)."""
+    theta = cfg.theta if cfg.theta is not None else default_theta(m)
+    rate = cfg.sigma - 2.0 * m.ricci_lower_bound - theta
+    if cfg.t_max is not None:
+        t_max = cfg.t_max
+    elif rate > 0:
+        t_max = max(2.0 * cfg.t_min, math.log(1.0 / _TAIL_TARGET) / rate)
+    else:
+        t_max = 20.0 / cfg.sigma
+    if not t_max > cfg.t_min:
+        raise ValueError(f"t_min = {cfg.t_min:g} must lie below the Green "
+                         f"quadrature's t_max = {t_max:g}")
+    return theta, rate, t_max
+
+
 def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
                         v: TangentVector, w: TangentVector,
                         cfg: HessianEstimatorConfig, *, n_paths: int, h: float,
@@ -705,17 +716,12 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even path count")
     sigma = cfg.sigma
-    theta = cfg.theta if cfg.theta is not None else default_theta(m)
-    K = m.ricci_lower_bound
-    rate = sigma - 2.0 * K - theta
+    theta, rate, t_max = _green_horizon(m, cfg)
     if rate <= 0:
         warnings.warn(
             f"sigma = {sigma:g} is not above the semigroup growth 2K + theta "
-            f"= {2 * K + theta:g}; the time integral may not converge")
-        t_max = cfg.t_max if cfg.t_max is not None else 20.0 / sigma
-    else:
-        t_max = cfg.t_max if cfg.t_max is not None else \
-            max(2.0 * cfg.t_min, math.log(1.0 / _TAIL_TARGET) / rate)
+            f"= {2 * m.ricci_lower_bound + theta:g}; the time integral may "
+            f"not converge")
     if mode is None:
         mode = "mixed" if f.has_oracles else "bismut"
     nodes = np.geomspace(cfg.t_min, t_max, cfg.n_nodes)

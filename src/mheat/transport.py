@@ -9,18 +9,19 @@ eigenfunctions decay like ``exp(-lambda t)`` with lambda the positive
 eigenvalue).
 
 The batched walk (:class:`ChunkWalk`) walks one or more groups of paths side
-by side, each with its own stream, step size, step count and possibly start
-point; a group that has walked its steps leaves the end of the live slice.
-It stores its state coordinate major -- points (ambient, n), frames (d,
-ambient, n) and one (32, d, n) wave buffer of increments, refilled every 32
-steps -- so every per-step operation is a whole-row numpy call over the n
-paths rather than a reduction over a length-3 inner axis; past a fixed draw
-budget no array grows with the number of steps.  The increments a walk
-yields are views of that buffer, valid until the next step.  One step is
-:meth:`ManifoldModel.walk_step`: the move along ``V = sum_i dB_i F_i`` and
-the frame transport share one evaluation of the trigonometric functions,
-and the transport is a single rank-one update because the frame components
-of the unit step direction are ``dB / |V|`` (the frame is orthonormal).
+by side, each with its own stream, step size, step count and start point
+(one point, or one point per path); a group that has walked its steps
+leaves the end of the live slice.  It stores its state coordinate major --
+points (ambient, n), frames (d, ambient, n) and one (32, d, n) wave buffer
+of increments, refilled every 32 steps -- so every per-step operation is a
+whole-row numpy call over the n paths rather than a reduction over a
+length-3 inner axis; past a fixed draw budget no array grows with the
+number of steps.  The increments a walk yields are views of that buffer,
+valid until the next step.  One step is :meth:`ManifoldModel.walk_step`:
+the move along ``V = sum_i dB_i F_i`` and the frame transport share one
+evaluation of the trigonometric functions, and the transport is a single
+rank-one update because the frame components of the unit step direction
+are ``dB / |V|`` (the frame is orthonormal).
 
 The curvature process W_t(v, w) has one recursion: :func:`w_update` steps
 it from the inner products <Qv, Qw> and <Qw, dB>, which may be per path
@@ -207,8 +208,9 @@ class PathRecord:
 
 class WalkGroup(NamedTuple):
     """Paths [path_lo, path_hi) of the stream ``seed``, walked ``n_steps``
-    steps of size t / n_steps from ``x0`` (None: the walk's start point);
-    ``key`` labels the caller's path set."""
+    steps of size t / n_steps from ``x0``: one point (ambient,), or a batch
+    (path_hi - path_lo, ambient) of one point per path.  ``key`` labels the
+    caller's path set."""
 
     seed: int
     t: float
@@ -239,41 +241,31 @@ class ChunkWalk:
     own stream, horizon and step count, sorted longest first.  A group walks
     its own steps and then stays where it is: it leaves the end of the live
     slice, so the paths that still walk step k are always the first ones.
-    ``t``, ``n_steps``, ``h`` and ``seed`` are those of the first (longest)
-    group, and ``n_paths`` counts the paths the last step moved (all of them
+    ``t``, ``n_steps`` and ``h`` are those of the first (longest) group,
+    and ``n_paths`` counts the paths the last step moved (all of them
     before the first step).
 
-    All paths start at the same point, or at one point each when ``x0`` is
-    a batch; with ``x0`` None each group starts at its own ``x0``, whose
-    frame is computed once and repeated over the group's columns, as for
-    one point, so the group walks bitwise as it would alone.  The walk
-    exposes a generator over steps; observers read ``points``/``frames``
-    (state at the left node) and the yielded increments, both in fixed path
-    order.
+    Each group starts at its own ``x0``.  A point's frame is computed once
+    per walk and repeated over the columns of every group that starts
+    there; a batch of points is framed in one call of its own.  So each
+    group walks bitwise as it would alone.  The walk exposes a generator
+    over steps; observers read ``points``/``frames`` (state at the left
+    node) and the yielded increments, both in fixed path order.
 
-    State is held coordinate major -- points (ambient, n), frames
-    (d, ambient, n) -- so that each step is one
-    :meth:`ManifoldModel.walk_step` of whole-row operations; ``points``
+    State is held coordinate major (see the module docstring); ``points``
     (n, ambient) and ``frames`` (n, d, ambient) are transposed views of it.
-    Increments arrive in blocks of ``_BLOCK_STEPS`` steps through one
-    (B, d, n) wave buffer: at each block's first step every live group
-    writes its columns, transposed from its path-major draw and
+    At each block's first step every live group writes its columns of the
+    (B, d, n) wave buffer, transposed from its path-major draw and
     sign-interleaved for antithetic pairs.  A group whose whole draw fits
     in ``_DRAW_BUDGET`` uniforms draws it in one call and keeps it while it
-    walks; a larger group draws a few blocks of its streams at a time, so
-    its memory does not grow with the horizon.  The (n_live, d) increments
-    yielded per step and the (d, n_g) rows of :meth:`group_step` are views
-    of the buffer, valid only until the next step.  ``increments`` and
-    ``group_increments`` draw every step again on demand, for tests and
-    single paths.
+    walks; a larger group draws a few blocks of its streams at a time.  The
+    (n_live, d) increments yielded per step and the (d, n_g) rows of
+    :meth:`group_step` are views of the buffer, valid only until the next
+    step.  ``increments`` and ``group_increments`` draw every step again on
+    demand, for tests and single paths.
     """
 
-    def __init__(self, m: ManifoldModel, x0: np.ndarray, t: Optional[float] = None,
-                 n_steps: Optional[int] = None, seed: Optional[int] = None,
-                 path_lo: Optional[int] = None, path_hi: Optional[int] = None,
-                 antithetic: bool = False, *, groups=None):
-        if groups is None:
-            groups = [WalkGroup(seed, t, n_steps, path_lo, path_hi)]
+    def __init__(self, m: ManifoldModel, groups, antithetic: bool = False):
         self.groups = tuple(groups)
         if min(g.n_steps for g in self.groups) < 1:
             raise ValueError("need at least one step")
@@ -284,7 +276,6 @@ class ChunkWalk:
         self.t = float(first.t)
         self.n_steps = first.n_steps
         self.h = self.t / self.n_steps
-        self.seed = int(first.seed)
         self.bounds = [0]
         for g in self.groups:
             self.bounds.append(self.bounds[-1] + g.path_hi - g.path_lo)
@@ -293,24 +284,21 @@ class ChunkWalk:
         self._drawn = [(0, None)] * len(self.groups)  # (first step, draw)
         self._buf = np.empty((min(_BLOCK_STEPS, self.n_steps), m.dim, n))
         self._k0 = -1  # first step of the block in the buffer
-        x0 = None if x0 is None else np.asarray(x0, dtype=float)
-        if x0 is None:
-            self._P = np.empty((m.ambient_dim, n))
-            self._F = np.empty((m.dim, m.ambient_dim, n))
-            for g, grp in enumerate(self.groups):
-                p = np.asarray(grp.x0, dtype=float)
-                cols = slice(self.bounds[g], self.bounds[g + 1])
-                self._P[:, cols] = p[:, None]
-                self._F[..., cols] = m.frame(p[None, :])[0][..., None]
-        elif x0.ndim == 2:
-            if x0.shape[0] != n:
-                raise ValueError("batch of start points must match the path count")
-            self._P = np.ascontiguousarray(x0.T)
-            self._F = np.ascontiguousarray(m.frame(x0).transpose(1, 2, 0))
-        else:
-            self._P = np.repeat(x0[:, None], n, axis=1)
-            f0 = m.frame(x0[None, :])[0]
-            self._F = np.repeat(f0[:, :, None], n, axis=2)
+        self._P = np.empty((m.ambient_dim, n))
+        self._F = np.empty((m.dim, m.ambient_dim, n))
+        frames = {}  # one frame per distinct start point, one per batch
+        for g, grp in enumerate(self.groups):
+            x0 = np.atleast_2d(np.asarray(grp.x0, dtype=float))
+            cols = slice(self.bounds[g], self.bounds[g + 1])
+            if grp.x0 is None or x0.shape[1:] != (m.ambient_dim,) or \
+                    len(x0) not in (1, cols.stop - cols.start):
+                raise ValueError(f"group {g}'s x0 must be one point or one "
+                                 f"point per path")
+            key = x0.tobytes() if len(x0) == 1 else g
+            if key not in frames:
+                frames[key] = m.frame(x0).transpose(1, 2, 0)
+            self._P[:, cols] = x0.T
+            self._F[..., cols] = frames[key]
         self.n_paths = n
         self._live = len(self.groups)
 
@@ -468,8 +456,8 @@ def sample_path(m: ManifoldModel, x0: Point, t: float, h: float,
     arguments reproduces the record bitwise.
     """
     n_steps = _check_grid(t, h)
-    walk = ChunkWalk(m, np.asarray(x0.coords), t, n_steps, seed,
-                     path_index, path_index + 1)
+    walk = ChunkWalk(m, [WalkGroup(seed, t, n_steps, path_index, path_index + 1,
+                                   x0=np.asarray(x0.coords))])
     amb, d = m.ambient_dim, m.dim
     points = np.empty((n_steps + 1, amb))
     frames = np.empty((n_steps + 1, d, amb))

@@ -780,8 +780,8 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
                 m, np.asarray(x.coords), t_max, n_steps, derive_seed(seed, 11, xi),
                 n_paths, lambda walk: _kato_snapshots(walk, potential, marks),
                 chunk_size=KATO_CHUNK, threads=threads):
-            for t, k in zip(t_list, marks):
-                snap = snapshots[k]
+            # one contiguous row per mark, so each reduction sums as a row
+            for t, snap in zip(t_list, np.ascontiguousarray(snapshots.T)):
                 integ_acc[t].update_batch(snap)
                 with np.errstate(over="ignore"):
                     ex = np.exp(snap)
@@ -827,19 +827,19 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
 
 
 def _kato_snapshots(walk, potential, marks):
-    """Trapezoid path integrals of the potential, snapshotted at mark nodes."""
+    """(n_paths, len(marks)) trapezoid path integrals of the potential, column
+    j taken at step ``marks[j]``."""
     integral = np.zeros(walk.n_paths)
     vals_prev = potential.eval_fn(walk.points)
-    snapshots = {}
-    if 0 in marks:
-        snapshots[0] = integral.copy()
+    snapshots = np.zeros((walk.n_paths, len(marks)))
     for k in range(walk.n_steps):
         walk.step(k)
         vals_cur = potential.eval_fn(walk.points)
         integral += 0.5 * walk.h * (vals_prev + vals_cur)
         vals_prev = vals_cur
-        if (k + 1) in marks:
-            snapshots[k + 1] = integral.copy()
+        for j, mark in enumerate(marks):
+            if mark == k + 1:
+                snapshots[:, j] = integral
     return snapshots
 
 

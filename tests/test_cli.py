@@ -635,6 +635,35 @@ def test_parameter_error_is_config_error(tmp_path, kind, params, bad):
     assert not out.exists()
 
 
+def test_green_reversed_node_grid_is_config_error(tmp_path):
+    # sigma = 0.5 <= 2K + theta on the unit S^2: the default t_max = 20 /
+    # sigma = 40 lies below t_min = 50, so the node grid would run backwards
+    out = tmp_path / "out"
+    text = f"""kind = "estimate"
+seed = 1
+n_paths = 64
+h = 0.1
+out_dir = "{out}"
+
+[manifold]
+kind = "sphere"
+dim = 2
+radius = 1.0
+
+[estimate]
+op = "green-hess"
+field = "coord-z"
+sigma = 0.5
+t_min = 50.0
+"""
+    cfg = write(tmp_path, text)
+    line = text.splitlines().index("t_min = 50.0") + 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(cfg)}:{line}: t_min = 50 "):
+        load_config(cfg)
+    assert main(["run", cfg]) == 2
+    assert not out.exists()
+
+
 # sha256 of the sort-keys JSON of each shipped config's tables and verdicts
 SHIPPED_GOLDEN = {
     "czscan_t2_p2.toml": "ce3979f2c427fb135609c2c036040f8e0b9b62291c8424e447f366d585856c95",

@@ -163,7 +163,8 @@ def test_wave_footprint_is_the_walks_increment_arrays(antithetic):
     m = Sphere(3, 1.0)
     groups = [WalkGroup(7, 1.0, 300, 0, 200), WalkGroup(9, 0.5, 90, 0, 40)]
     with mock.patch.object(transport, "_DRAW_BUDGET", 20000):
-        walk = ChunkWalk(m, m.base_point(), antithetic=antithetic, groups=groups)
+        walk = ChunkWalk(m, [g._replace(x0=m.base_point()) for g in groups],
+                         antithetic)
         next(walk.steps())
         footprint = transport._wave_footprint(groups, m.dim, antithetic)
     drawn = [z for _, z in walk._drawn]
@@ -197,7 +198,7 @@ def test_batch_columns_equal_separate_walks(kind, antithetic):
     x0 = m.base_point()
     groups = [WalkGroup(5, 0.3, 30, 0, 6), WalkGroup(6, 0.1, 20, 4, 12),
               WalkGroup(5, 0.2, 20, 2, 4)]
-    batch = ChunkWalk(m, x0, groups=groups, antithetic=antithetic)
+    batch = ChunkWalk(m, [g._replace(x0=x0) for g in groups], antithetic)
     ends = {}
     for k, dB in batch.steps():
         for g, grp in enumerate(groups):
@@ -211,8 +212,7 @@ def test_batch_columns_equal_separate_walks(kind, antithetic):
     ends[0] = batch.group_state(0)
     assert batch.n_paths == 6  # only the longest group moved last
     for g, grp in enumerate(groups):
-        alone = ChunkWalk(m, x0, grp.t, grp.n_steps, grp.seed, grp.path_lo,
-                          grp.path_hi, antithetic=antithetic).run()
+        alone = ChunkWalk(m, [grp._replace(x0=x0)], antithetic).run()
         assert np.array_equal(ends[g][0], alone.points)
         assert np.array_equal(ends[g][1], alone.frames)
 
@@ -220,5 +220,5 @@ def test_batch_columns_equal_separate_walks(kind, antithetic):
 def test_batch_groups_must_run_longest_first():
     m = Sphere(2, 1.0)
     with pytest.raises(ValueError, match="longest first"):
-        ChunkWalk(m, m.base_point(), groups=[WalkGroup(1, 0.1, 10, 0, 4),
-                                              WalkGroup(1, 0.2, 20, 4, 8)])
+        ChunkWalk(m, [WalkGroup(1, 0.1, 10, 0, 4, x0=m.base_point()),
+                      WalkGroup(1, 0.2, 20, 4, 8, x0=m.base_point())])

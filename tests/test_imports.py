@@ -16,3 +16,24 @@ def test_import_loads_no_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_import_adds_only_mheat_modules():
+    # what `import mheat` costs beyond numpy, scipy.special and the standard
+    # library modules the package uses: its own modules, nothing else
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mheat.__file__)))
+    code = (
+        "import sys\n"
+        "import dataclasses, functools, math, os, typing, warnings\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import numpy, numpy.polynomial.legendre, scipy.special\n"
+        "before = set(sys.modules)\n"
+        "import mheat\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    added = out.stdout.split()
+    assert "mheat" in added
+    assert [name for name in added
+            if name != "mheat" and not name.startswith("mheat.")] == []

@@ -22,7 +22,7 @@ from mheat.oracle import (
     polar_grid,
     quadrature_grid,
 )
-from mheat.transport import ChunkWalk
+from mheat.transport import ChunkWalk, WalkGroup
 
 
 def rng():
@@ -165,8 +165,7 @@ def test_chapman_kolmogorov_torus_1d():
 def test_h3_kernel_vs_mc_density():
     m = Hyperbolic(3, 1.0)
     t, n_steps, n_paths = 0.5, 100, 200000
-    walk = ChunkWalk(m, m.base_point(), t, n_steps, seed=2024, path_lo=0,
-                     path_hi=n_paths)
+    walk = ChunkWalk(m, [WalkGroup(2024, t, n_steps, 0, n_paths, x0=m.base_point())])
     walk.run()
     rho = m.distance(np.broadcast_to(m.base_point(), walk.points.shape),
                      walk.points)

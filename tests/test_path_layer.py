@@ -14,17 +14,26 @@ import numpy as np
 import pytest
 
 import mheat
-from mheat import verify
+from mheat import semigroup, verify
 from mheat.cli import run_config
 from mheat.geometry import (
     Hyperbolic,
     Point,
     Sphere,
     TangentVector,
+    coordinate_field,
     gaussian_bump_field,
 )
-from mheat.semigroup import estimate_endpoint, estimate_grad, estimate_hess, estimate_pt
-from mheat.transport import _grid_steps
+from mheat.semigroup import (
+    HessianEstimatorConfig,
+    _walk_chunks,
+    estimate_endpoint,
+    estimate_grad,
+    estimate_green_hess,
+    estimate_hess,
+    estimate_pt,
+)
+from mheat.transport import ChunkWalk, WalkGroup, _grid_steps
 from mheat.verify import (
     BoundCheckConfig,
     _semigroup_samples,
@@ -415,3 +424,96 @@ def test_w_recursion_called_only_by_the_hessian_observer():
                 if name in ("w_step", "w_update"):
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == allowed
+
+
+# ---------------------------------------------------------------------------
+# the observer contract and start points on the groups
+
+def _sets(n_sets):
+    # (t, n_steps, seed, n_paths) of n_sets path sets
+    return ([0.1 * (i + 1) for i in range(n_sets)], [4 * (i + 1) for i in range(n_sets)],
+            list(range(1, n_sets + 1)), [16] * n_sets)
+
+
+@pytest.mark.parametrize("n_sets", [1, 2])
+def test_observer_values_run_over_paths_in_every_wave(n_sets):
+    # a one-group wave is held to the same contract as a wave of several
+    m = Sphere(2, 1.0)
+
+    def observe(walk):
+        walk.run()
+        return np.stack([walk.points[:, 0], walk.points[:, 1]])  # (2, n)
+
+    with pytest.raises(ValueError, match="one value per path"):
+        list(_walk_chunks(m, m.base_point(), *_sets(n_sets), observe, one_wave=True))
+
+
+def _frame_calls(m, monkeypatch):
+    calls = []
+    real = m.frame
+
+    def spy(x):
+        calls.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(m, "frame", spy)
+    return calls
+
+
+def test_frame_once_per_distinct_start_point(monkeypatch):
+    m = Sphere(2, 1.0)
+    calls = _frame_calls(m, monkeypatch)
+
+    def observe(walk):
+        walk.run()
+        return np.zeros(walk.bounds[-1])
+
+    # several sets from one point in one wave, as Green's pilot: one frame
+    list(_walk_chunks(m, m.base_point(), *_sets(3), observe, antithetic=True,
+                      one_wave=True))
+    assert calls == [1]
+    # one start point per set: one frame per group
+    calls.clear()
+    xs = np.stack([_point(m, 91 + i) for i in range(3)])
+    list(_walk_chunks(m, xs, *_sets(3), observe, one_wave=True))
+    assert calls == [1, 1, 1]
+
+
+def test_green_frames_once_per_wave(monkeypatch):
+    # every wave of Green's pilot and main walks starts at one point, so it
+    # frames that point once; each node batch adds the frame of (v, w)
+    m = Sphere(2, 1.0)
+    x = Point([0.6, 0.0, 0.8])
+    F = m.frame(np.asarray(x.coords)[None, :])[0]
+    v = TangentVector(x, F[0])
+    calls = _frame_calls(m, monkeypatch)
+    walks = []
+
+    def spy(*args, **kw):
+        walks.append(ChunkWalk(*args, **kw))
+        return walks[-1]
+
+    monkeypatch.setattr(semigroup, "ChunkWalk", spy)
+    estimate_green_hess(m, coordinate_field(m, axis=2), x, v, v,
+                        HessianEstimatorConfig(sigma=3.0), n_paths=2000, h=0.01,
+                        seed=5, mode="mixed")
+    assert len(walks[0].groups) == 40  # the pilot: every node in one wave
+    assert calls == [1] * (len(walks) + 2)
+
+
+@pytest.mark.parametrize("x0", [None, np.zeros(2), np.zeros((3, 3))])
+def test_group_start_point_is_one_point_or_one_per_path(x0):
+    m = Sphere(2, 1.0)
+    with pytest.raises(ValueError, match="one point or one point per path"):
+        ChunkWalk(m, [WalkGroup(1, 0.1, 4, 0, 4, x0=x0)])
+
+
+def test_per_path_start_points_walk_as_their_batch():
+    # a group of one start point per path frames its batch in one call, as
+    # a walk restarted from another walk's end points
+    m = Sphere(2, 1.0)
+    first = ChunkWalk(m, [WalkGroup(3, 0.1, 10, 0, 6, x0=m.base_point())]).run()
+    ends = first.points.copy()
+    again = ChunkWalk(m, [WalkGroup(4, 0.1, 10, 0, 6, x0=ends)])
+    assert np.array_equal(again.points, ends)
+    assert np.array_equal(again.frames, m.frame(ends))

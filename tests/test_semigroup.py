@@ -29,7 +29,7 @@ from mheat.semigroup import (
     estimate_hess,
     estimate_pt,
 )
-from mheat.transport import ChunkWalk
+from mheat.transport import ChunkWalk, WalkGroup
 
 
 def tv(m, x, comps):
@@ -127,11 +127,10 @@ def test_pt_semigroup_restart_property():
         tt = steps1 * (t1 / steps1) + steps2 * (t2 / steps2)
         one = estimate_pt(m, f, x, tt, n_paths=n, h=tt / (steps1 + steps2),
                           seed=210 + idx)
-        walk = ChunkWalk(m, np.asarray(x.coords), t1, steps1, seed=220 + idx,
-                         path_lo=0, path_hi=n)
+        walk = ChunkWalk(m, [WalkGroup(220 + idx, t1, steps1, 0, n,
+                                       x0=np.asarray(x.coords))])
         walk.run()
-        walk2 = ChunkWalk(m, walk.points, t2, steps2, seed=230 + idx,
-                          path_lo=0, path_hi=n)
+        walk2 = ChunkWalk(m, [WalkGroup(230 + idx, t2, steps2, 0, n, x0=walk.points)])
         walk2.run()
         vals = f.eval_fn(walk2.points)
         two = vals.mean()
@@ -340,6 +339,20 @@ def test_green_warns_on_small_sigma():
     with pytest.warns(UserWarning):
         estimate_green_hess(m, f, x, v, v, cfg, n_paths=64, h=0.02, seed=44)
     assert default_theta(m) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sigma, t_min, t_max", [
+    (3.0, 0.5, 0.2),   # an explicit t_max below t_min
+    (0.5, 50.0, None),  # the default 20 / sigma when sigma <= 2K + theta
+])
+def test_green_rejects_a_reversed_node_grid(sigma, t_min, t_max):
+    m = Sphere(2, 1.0)
+    f = coordinate_field(m, axis=2)
+    x = Point(m.base_point())
+    v = tv(m, x, [1, 0])
+    cfg = HessianEstimatorConfig(sigma=sigma, t_min=t_min, t_max=t_max)
+    with pytest.raises(ValueError, match="t_min .* below .* t_max"):
+        estimate_green_hess(m, f, x, v, v, cfg, n_paths=64, h=0.1, seed=1)
 
 
 # ---------------------------------------------------------------------------

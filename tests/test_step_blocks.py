@@ -64,7 +64,8 @@ def _waves(draw):
         lo = draw(st.integers(0, 40))
         groups.append(WalkGroup(draw(st.integers(0, 2 ** 64 - 1)),
                                 n_steps * draw(st.sampled_from([0.01, 0.003])),
-                                n_steps, lo, lo + draw(st.integers(1, 9)), key))
+                                n_steps, lo, lo + draw(st.integers(1, 9)), key,
+                                np.zeros(d)))
     budget = draw(st.one_of(st.just(transport._DRAW_BUDGET), st.integers(1, 4000)))
     return d, groups, draw(st.booleans()), budget
 
@@ -73,7 +74,7 @@ def _waves(draw):
 @given(_waves())
 def test_walk_rows_are_slices_of_the_whole_block(wave):
     d, groups, antithetic, budget = wave
-    walk = ChunkWalk(Euclidean(d), np.zeros(d), groups=groups, antithetic=antithetic)
+    walk = ChunkWalk(Euclidean(d), groups, antithetic)
     _check_rows(walk, d, antithetic, budget)
 
 
@@ -103,8 +104,8 @@ def test_group_over_the_budget_draws_spans_of_blocks(antithetic, path_lo, path_h
     # 9 streams x 100 steps x d = 2 is 1,800 uniforms; a budget of three
     # blocks of every stream (1,728) sends the group through per-path runs
     d, n_steps = 2, 100
-    walk = ChunkWalk(Euclidean(d), np.zeros(d), n_steps * 0.01, n_steps, 11,
-                     path_lo, path_hi, antithetic=antithetic)
+    walk = ChunkWalk(Euclidean(d), [WalkGroup(11, n_steps * 0.01, n_steps, path_lo,
+                                              path_hi, x0=np.zeros(d))], antithetic)
     with mock.patch.object(transport, "increment_block",
                            wraps=increment_block) as spy:
         _check_rows(walk, d, antithetic, 3 * 9 * B * d)
@@ -113,7 +114,7 @@ def test_group_over_the_budget_draws_spans_of_blocks(antithetic, path_lo, path_h
 
 
 def test_group_within_the_budget_draws_once():
-    walk = ChunkWalk(Euclidean(2), np.zeros(2), 1.0, 100, 11, 0, 9)
+    walk = ChunkWalk(Euclidean(2), [WalkGroup(11, 1.0, 100, 0, 9, x0=np.zeros(2))])
     with mock.patch.object(transport, "increment_block",
                            wraps=increment_block) as spy:
         walk.run()
@@ -121,7 +122,7 @@ def test_group_within_the_budget_draws_once():
 
 
 def test_group_step_outside_the_buffer_raises():
-    walk = ChunkWalk(Euclidean(2), np.zeros(2), 1.0, 100, 11, 0, 9)
+    walk = ChunkWalk(Euclidean(2), [WalkGroup(11, 1.0, 100, 0, 9, x0=np.zeros(2))])
     steps = walk.steps()
     next(steps)
     with pytest.raises(ValueError, match="wave buffer"):
@@ -134,7 +135,8 @@ def _walk_peak(m, n_steps, n_paths=256):
     """tracemalloc peak of building and walking one chunk of paths."""
     tracemalloc.start()
     try:
-        ChunkWalk(m, m.base_point(), 0.001 * n_steps, n_steps, 7, 0, n_paths).run()
+        ChunkWalk(m, [WalkGroup(7, 0.001 * n_steps, n_steps, 0, n_paths,
+                                x0=m.base_point())]).run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

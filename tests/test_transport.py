@@ -16,6 +16,7 @@ from mheat.geometry import (
 from mheat.semigroup import _walk_chunks
 from mheat.transport import (
     ChunkWalk,
+    WalkGroup,
     _grid_steps,
     damped_transport,
     damped_transport_generic,
@@ -97,7 +98,7 @@ def test_grid_steps_rejects_bad_horizon_or_step(t, h):
 def test_flat_walk_mean_square_displacement():
     m = Euclidean(3)
     t, h, n = 0.7, 0.7 / 100, 10000
-    walk = ChunkWalk(m, m.base_point(), t, 100, seed=11, path_lo=0, path_hi=n)
+    walk = ChunkWalk(m, [WalkGroup(11, t, 100, 0, n, x0=m.base_point())])
     walk.run()
     sq = np.sum(walk.points ** 2, axis=1)
     mean = sq.mean()
@@ -288,7 +289,7 @@ def test_w_drift_term_vanishes_on_models():
 def test_chunk_walk_matches_sample_path():
     m = Sphere(2, 1.0)
     t, n_steps = 0.4, 80
-    walk = ChunkWalk(m, m.base_point(), t, n_steps, seed=55, path_lo=3, path_hi=6)
+    walk = ChunkWalk(m, [WalkGroup(55, t, n_steps, 3, 6, x0=m.base_point())])
     walk.run()
     for offset, idx in enumerate(range(3, 6)):
         path = sample_path(m, base(m), t, t / n_steps, seed=55, path_index=idx)
@@ -298,7 +299,7 @@ def test_chunk_walk_matches_sample_path():
 
 def test_antithetic_chunks_flip_signs():
     m = Euclidean(2)
-    walk = ChunkWalk(m, m.base_point(), 0.2, 40, seed=10, path_lo=0, path_hi=4,
+    walk = ChunkWalk(m, [WalkGroup(10, 0.2, 40, 0, 4, x0=m.base_point())],
                      antithetic=True)
     inc = walk.increments
     assert np.array_equal(inc[0], -inc[1])

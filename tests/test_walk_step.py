@@ -17,7 +17,7 @@ from mheat.geometry import (
     coordinate_field,
 )
 from mheat.semigroup import estimate_hess, estimate_pt
-from mheat.transport import ChunkWalk, increment_block
+from mheat.transport import ChunkWalk, WalkGroup, increment_block
 
 
 def _model(kind, d, geo):
@@ -94,7 +94,7 @@ def test_walk_step_matches_exp_transport_retract(kind, d, geo, n, step, n_zero, 
 @pytest.mark.parametrize("m", [Sphere(2, 1.0), Hyperbolic(3, 0.8), Torus(2)],
                          ids=lambda m: m.describe())
 def test_chunk_walk_views_follow_the_state(m):
-    walk = ChunkWalk(m, m.base_point(), 0.1, 5, seed=3, path_lo=0, path_hi=6)
+    walk = ChunkWalk(m, [WalkGroup(3, 0.1, 5, 0, 6, x0=m.base_point())])
     n, d, amb = 6, m.dim, m.ambient_dim
     assert walk.points.shape == (n, amb)
     assert walk.frames.shape == (n, d, amb)
