@@ -135,6 +135,11 @@ def torus_bochner_residual(u: TrigPolynomial) -> float:
     -(1/2) Lap |grad u|^2 = |Hess u|_HS^2 - <grad Lap u, grad u>, with the
     positive Laplacian applied to the band-limited product via FFT.
     """
+    return _torus_bochner_terms(u)[0]
+
+
+def _torus_bochner_terms(u: TrigPolynomial):
+    """``torus_bochner_residual`` and the largest node |Hess u|_HS^2."""
     d = u.dim
     if d != 2:
         raise ValueError("FFT residual implemented for the 2-torus")
@@ -152,7 +157,7 @@ def torus_bochner_residual(u: TrigPolynomial) -> float:
     lap_u = u.laplacian_poly()
     cross = np.sum(lap_u.grad_values(X) * G, axis=1)
     res = -0.5 * lap_gsq - hs2 + cross
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res))), float(np.max(hs2))
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +342,13 @@ def random_spherical_polynomials(m: Sphere, degree: int, count: int,
 class SphereHarmonicTables:
     """Cached node evaluations of the harmonic basis on a quadrature grid.
 
-    Values, tangential gradients and frame Hessian components are stacked
-    over the flattened (l, index-in-level) harmonic order so that band
-    limited fields are plain matrix products with their coefficient blocks.
-    Each level's columns are filled at once: the node-monomial matrices of
-    degrees ell, ell - 1 and ell - 2 times the basis block B_ell and its
-    images under the integer derivative matrices, then one frame
-    contraction per level.
+    Values and frame Hessian components only, stacked over the flattened
+    (l, index-in-level) harmonic order so that band limited fields are plain
+    matrix products with their coefficient blocks; gradients come from
+    ``SphericalPolynomial.grad_values``.  Each level's columns are filled at
+    once: the node-monomial matrices of degrees ell and ell - 2 times the
+    basis block B_ell and its images under the integer derivative matrices,
+    then one frame contraction per level.
     """
 
     def __init__(self, grid, m: Sphere, lmax: int, with_derivs: bool = True):
@@ -358,22 +363,15 @@ class SphereHarmonicTables:
         self.eigen = np.repeat([float(ell * (ell + 1)) for ell in levels],
                                [2 * ell + 1 for ell in levels])
         self.values = np.empty((n, self.size))
-        if with_derivs:
-            frames = grid.frames(m)
-            self.grads = np.empty((n, 3, self.size))
-            self.hesses = np.empty((n, 2, 2, self.size))
-        else:
-            frames = None
-            self.grads = None
-            self.hesses = None
+        frames = grid.frames(m) if with_derivs else None
+        self.hesses = np.empty((n, 2, 2, self.size)) if with_derivs else None
         powers = _coordinate_powers(X, lmax)
         for ell in levels:
             cols = slice(ell * ell, (ell + 1) ** 2)
-            vals, G, H = _harmonic_level(X, powers, ell, harmonic_basis(ell),
-                                         with_derivs, frames)
+            vals, _, H = _harmonic_level(X, powers, ell, harmonic_basis(ell),
+                                         frames=frames)
             self.values[:, cols] = vals
             if with_derivs:
-                self.grads[:, :, cols] = G
                 self.hesses[:, :, :, cols] = H
 
     def coeff_matrix(self, family) -> np.ndarray:
@@ -396,20 +394,41 @@ def sphere_bochner_residual(u: SphericalPolynomial, grid,
     to degree 2 lmax, so its exact harmonic expansion comes from grid
     quadrature and the eigenvalues act coefficient-wise.
     """
+    return _sphere_bochner_terms([u], grid, m)[0][0]
+
+
+def _sphere_bochner_terms(fields, grid, m: Optional[Sphere] = None) -> List[tuple]:
+    """``sphere_bochner_residual`` and the largest node |Hess u|_HS^2 of
+    each field, over one expansion table.
+
+    The table is built once, to twice the largest degree; a field of lower
+    degree ell expands over a contiguous copy of its leading (2 ell + 1)^2
+    columns, which are the columns of its own table, so every residual
+    rounds as in a call of its own.
+    """
     if m is None:
         m = Sphere(2, 1.0)
-    lmax = max(ell for ell, _ in u.terms)
+    degrees = [max(ell for ell, _ in u.terms) for u in fields]
     frames = grid.frames(m)
-    G = u.grad_values(grid.nodes)
-    gsq = np.sum(G * G, axis=1)
-    tables = SphereHarmonicTables(grid, m, 2 * lmax, with_derivs=False)
-    coeffs = tables.values.T @ (grid.weights * gsq)
-    lap_gsq = tables.values @ (tables.eigen * coeffs)
-    recon = tables.values @ coeffs
-    if float(np.max(np.abs(recon - gsq))) > 1e-8 * max(1.0, float(np.max(np.abs(gsq)))):
-        raise ValueError("grid too coarse to expand |grad u|^2 exactly")
-    hs2 = u.hess_hs_values(grid.nodes, frames) ** 2
-    cross = np.sum(u.laplacian_poly().grad_values(grid.nodes) * G, axis=1)
-    ric = gsq
-    res = -0.5 * lap_gsq - hs2 + cross - ric
-    return float(np.max(np.abs(res)))
+    tables = SphereHarmonicTables(grid, m, 2 * max(degrees), with_derivs=False)
+    out = []
+    for u, lmax in zip(fields, degrees):
+        size = (2 * lmax + 1) ** 2
+        values = tables.values
+        if size < tables.size:
+            values = np.ascontiguousarray(values[:, :size])
+        eigen = tables.eigen[:size]
+        G = u.grad_values(grid.nodes)
+        gsq = np.sum(G * G, axis=1)
+        coeffs = values.T @ (grid.weights * gsq)
+        lap_gsq = values @ (eigen * coeffs)
+        recon = values @ coeffs
+        if (float(np.max(np.abs(recon - gsq)))
+                > 1e-8 * max(1.0, float(np.max(np.abs(gsq))))):
+            raise ValueError("grid too coarse to expand |grad u|^2 exactly")
+        hs2 = u.hess_hs_values(grid.nodes, frames) ** 2
+        cross = np.sum(u.laplacian_poly().grad_values(grid.nodes) * G, axis=1)
+        ric = gsq
+        res = -0.5 * lap_gsq - hs2 + cross - ric
+        out.append((float(np.max(np.abs(res))), float(np.max(hs2))))
+    return out

@@ -1,6 +1,7 @@
 """Level-blocked spherical-harmonic evaluation against per-basis reference loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mheat.spectral import (
     SphereHarmonicTables,
     SphericalPolynomial,
     _monomials,
+    _sphere_bochner_terms,
     harmonic_basis,
     random_spherical_polynomials,
     sphere_bochner_residual,
@@ -74,11 +76,11 @@ def test_tables_match_per_basis_evaluation(lmax, make_grid):
                           [ell * (ell + 1) for ell in range(lmax + 1)
                            for _ in range(2 * ell + 1)])
     ref = _tables_loop(grid, lmax)
-    for got, want in zip((tables.values, tables.grads, tables.hesses), ref):
+    for got, want in zip((tables.values, tables.hesses), (ref[0], ref[2])):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     plain = SphereHarmonicTables(grid, S2, lmax, with_derivs=False)
-    assert plain.grads is None and plain.hesses is None
+    assert plain.hesses is None
     assert np.array_equal(plain.values, tables.values)
 
 
@@ -153,3 +155,76 @@ def test_sphere_bochner_residual_golden():
         S2, 4, 1, np.random.Generator(np.random.Philox(key=314)))[0]
     res = sphere_bochner_residual(u, quadrature_grid(S2, 20), S2)
     assert res == pytest.approx(1.7916779171400776e-12, rel=1e-12)
+
+
+def _scan_peak(n_fields):
+    fam = random_spherical_polynomials(
+        S2, 6, n_fields, np.random.Generator(np.random.Philox(key=2026)))
+    cz_scan(S2, fam[:40], p=4.0, sigma=1.0)  # harmonic bases and grid cached
+    tracemalloc.start()
+    try:
+        cz_scan(S2, fam, p=4.0, sigma=1.0, family_sizes=[50, n_fields])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cz_scan_sphere_memory_does_not_grow_with_the_family():
+    # fields are scanned 32 at a time; one block of all fields grew the
+    # traced peak by 43.5 MB from 200 to 800 fields
+    assert _scan_peak(800) - _scan_peak(200) < 2 ** 20
+
+
+def test_cz_scan_sphere_blocks_match_per_field_evaluation():
+    # 77 fields: one block of 32, then the remainder merged into a block of 45
+    p, sigma = 4.0, 1.0
+    fam = random_spherical_polynomials(
+        S2, 4, 77, np.random.Generator(np.random.Philox(key=77)))
+    rep = cz_scan(S2, fam, p=p, sigma=sigma, family_sizes=[20, 77])
+    grid = quadrature_grid(S2, 28)
+    X, frames = grid.nodes, grid.frames(S2)
+
+    def norm(v):
+        return float(np.sum(grid.weights * np.abs(v) ** p)) ** (1.0 / p)
+
+    for f, s in zip(fam, rep.samples):
+        u = f.resolvent(sigma)
+        hess = norm(u.hess_hs_values(X, frames))
+        want = (hess, norm(f.values(X)),
+                hess / (sigma * norm(u.values(X)) + norm(u.lap_values(X))))
+        got = (s["lhs"], s["rhs_no_const"], s["czp_ratio"])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_bochner_terms_of_mixed_degrees_match_one_field_calls():
+    # one expansion table for all fields; lower degrees read its leading columns
+    rng = np.random.Generator(np.random.Philox(key=5))
+    fields = [random_spherical_polynomials(S2, deg, 1, rng)[0] for deg in (3, 6, 2)]
+    grid = quadrature_grid(S2, 28)
+    terms = _sphere_bochner_terms(fields, grid, S2)
+    assert [res for res, _ in terms] == [sphere_bochner_residual(u, grid, S2)
+                                         for u in fields]
+    for u, (_, peak) in zip(fields, terms):
+        hs = u.hess_hs_values(grid.nodes, grid.frames(S2))
+        assert peak == float(np.max(hs ** 2))
+
+
+def test_bochner_gate_is_relative_to_the_hessian_scale():
+    # degree 8, key 1111: residual 1.377e-8 against max |Hess f|^2 = 1279,
+    # round-off that the absolute 1e-8 gate refused
+    fam = random_spherical_polynomials(
+        S2, 8, 200, np.random.Generator(np.random.Philox(key=1111)))
+    rep = cz_scan(S2, fam, p=2.0, sigma=1.0)
+    assert rep.aux_constants["bochner_residual"] > 1e-8
+    assert rep.passed
+
+
+def test_bochner_gate_catches_a_planted_hessian_error(monkeypatch):
+    # the residual's Hessian term |Hess f|^2 scaled by 1 + 1e-6
+    fam = random_spherical_polynomials(
+        S2, 8, 200, np.random.Generator(np.random.Philox(key=1111)))
+    hess_hs = SphericalPolynomial.hess_hs_values
+    monkeypatch.setattr(SphericalPolynomial, "hess_hs_values",
+                        lambda u, X, F: hess_hs(u, X, F) * math.sqrt(1.0 + 1e-6))
+    rep = cz_scan(S2, fam, p=2.0, sigma=1.0)
+    assert not rep.passed
