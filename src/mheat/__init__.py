@@ -37,12 +37,6 @@ from .semigroup import (
     estimate_hess,
     estimate_pt,
 )
-from .transport import (
-    PathRecord,
-    damped_transport,
-    sample_path,
-    w_process,
-)
 from .verify import (
     BoundCheckConfig,
     BoundReport,
@@ -64,7 +58,6 @@ __all__ = [
     "KernelEval", "QuadratureGrid", "heat_kernel", "lp_norm", "quadrature_grid",
     "HessianEstimatorConfig", "McEstimate", "estimate_grad",
     "estimate_green_hess", "estimate_hess", "estimate_pt",
-    "PathRecord", "damped_transport", "sample_path", "w_process",
     "BoundCheckConfig", "BoundReport", "KatoResult", "check_gaffney",
     "check_kernel_bounds", "check_semigroup_bounds", "check_weighted_l2",
     "cz_scan", "kato_functional",

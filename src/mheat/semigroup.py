@@ -428,8 +428,8 @@ class _HessNode:
     marks: list         # step count of each horizon
     qT: list            # transport factor at each horizon
     qvals: np.ndarray   # damped-transport factor at each step's left node
-    kd: np.ndarray      # kdot and ldot at the left nodes
-    ld: np.ndarray
+    kd: Optional[np.ndarray]  # kdot and ldot at the left nodes, bismut only
+    ld: Optional[np.ndarray]
     damp: float         # Ricci damping of W per step
     qw: np.ndarray      # (n_steps, P, d) rows qvals[k] * wbar[p]
     qvw: np.ndarray     # (w_steps, P) <qvals[k] vbar[p], qvals[k] wbar[p]>
@@ -506,7 +506,11 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
             cfg.validate_profiles(t_end)
         svals = np.arange(n_steps) * hi
         qvals = q_decay_factor(m, svals)
-        kd = np.array([cfg.kdot(float(s), t_end) for s in svals])
+        if mode == "bismut":
+            kd = np.array([cfg.kdot(float(s), t_end) for s in svals])
+            ld = np.array([cfg.ldot(float(s), t_end) for s in svals])
+        else:
+            kd = ld = None  # mixed reads no weights
         qv, qw = qvals[:, None, None] * vbar, qvals[:, None, None] * wbar
         if kappa == 0.0:
             w_steps = 0  # W stays 0
@@ -517,8 +521,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
             w_steps = int(np.flatnonzero(kd)[-1]) if np.any(kd) else 0
         nodes.append(_HessNode(
             t=ts, marks=marks, qT=[float(q_decay_factor(m, tj)) for tj in ts],
-            qvals=qvals, kd=kd,
-            ld=np.array([cfg.ldot(float(s), t_end) for s in svals]),
+            qvals=qvals, kd=kd, ld=ld,
             damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
             # a stacked (1, d) @ (d, 1) matmul is np.dot's ddot, bit for bit
             qvw=np.matmul(qv[:w_steps, :, None, :], qw[:w_steps, :, :, None])[..., 0, 0],

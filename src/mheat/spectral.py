@@ -178,14 +178,17 @@ def _monomial_index(exps: np.ndarray, degree: int) -> np.ndarray:
     return i * (degree + 1) - i * (i - 1) // 2 + j
 
 
+@lru_cache(maxsize=None)
 def _diff_matrix(degree: int, axis: int) -> np.ndarray:
-    """D_axis: d/dx_axis from degree-``degree`` to degree-``degree - 1`` coefficients."""
+    """D_axis: d/dx_axis from degree-``degree`` to degree-``degree - 1``
+    coefficients, read-only and built once per process."""
     mono = _monomials(degree)
     D = np.zeros((len(_monomials(degree - 1)), len(mono)))
     cols = np.flatnonzero(mono[:, axis])
     lower = mono[cols].copy()
     lower[:, axis] -= 1
     D[_monomial_index(lower, degree - 1), cols] = mono[cols, axis]
+    D.flags.writeable = False
     return D
 
 

@@ -23,13 +23,14 @@ evaluation of the trigonometric functions, and the transport is a single
 rank-one update because the frame components of the unit step direction
 are ``dB / |V|`` (the frame is orthonormal).
 
-The curvature process W_t(v, w) has one recursion: :func:`w_update` steps
-it from the inner products <Qv, Qw> and <Qw, dB>, which may be per path
-(a walk of several groups) and per (v, w) pair.  The Hessian observer of
-:mod:`mheat.semigroup`, which also serves verify's domination check, calls
-it directly; :func:`w_step` takes the products for one pair and serves the
-single-path :func:`w_process`.  Only the curvature-package oracles
-(``*_generic``) compute W another way.
+The damped transport Q_t is the scalar :func:`q_decay_factor` times the
+parallel transport.  The curvature process W_t(v, w) has one recursion:
+:func:`w_update` steps it from the inner products <Qv, Qw> and <Qw, dB>,
+which may be per path (a walk of several groups) and per (v, w) pair.  Its
+one caller is the Hessian observer of :mod:`mheat.semigroup`, which also
+serves verify's domination check.  Only the curvature-package oracles
+(``*_generic``), which walk one path's recorded increments, compute Q and
+W another way.
 
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
 sits at a fixed offset in a Philox stream keyed by the 64-bit seed, so any
@@ -41,7 +42,6 @@ inverting the normal CDF, which consumes exactly one uniform each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,13 +56,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "PathRecord",
-    "sample_path",
-    "damped_transport",
     "damped_transport_generic",
-    "w_process",
     "w_process_generic",
-    "w_step",
     "w_update",
     "ChunkWalk",
     "WalkGroup",
@@ -181,29 +176,6 @@ def q_decay_factor(m: ManifoldModel, s) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# record types
-
-@dataclass
-class PathRecord:
-    """One discretized Brownian trajectory with frames and increments."""
-
-    times: np.ndarray       # (N+1,)
-    points: np.ndarray      # (N+1, ambient)
-    frames: np.ndarray      # (N+1, d, ambient)
-    increments: np.ndarray  # (N, d)
-    seed: int
-    path_index: int
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.increments)
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-# ---------------------------------------------------------------------------
 # chunked walker
 
 class WalkGroup(NamedTuple):
@@ -261,8 +233,8 @@ class ChunkWalk:
     walks; a larger group draws a few blocks of its streams at a time.  The
     (n_live, d) increments yielded per step and the (d, n_g) rows of
     :meth:`group_step` are views of the buffer, valid only until the next
-    step.  ``increments`` and ``group_increments`` draw every step again on
-    demand, for tests and single paths.
+    step.  ``group_increments`` draws every step again on demand, the
+    reference that tests hold the streamed increments to.
     """
 
     def __init__(self, m: ManifoldModel, groups, antithetic: bool = False):
@@ -321,12 +293,6 @@ class ChunkWalk:
                     self._antithetic)
             out.append(inc)
         return out
-
-    @property
-    def increments(self) -> np.ndarray:
-        """(n, n_steps, d) increments of a one-group walk, drawn again."""
-        (inc,) = self.group_increments
-        return inc.transpose(2, 0, 1)
 
     def group_state(self, g: int):
         """Points (n_g, ambient) and frames (n_g, d, ambient) of group g, as
@@ -448,99 +414,39 @@ def _grid_steps(t: float, h: float, lo: int = 1, hi: Optional[int] = None) -> in
     return n if hi is None else min(n, hi)
 
 
-def sample_path(m: ManifoldModel, x0: Point, t: float, h: float,
-                seed: int, path_index: int) -> PathRecord:
-    """Simulate one geodesic-random-walk trajectory.
+def damped_transport_generic(m: ManifoldModel, x0: np.ndarray, frame0: np.ndarray,
+                             increments: np.ndarray, h: float) -> np.ndarray:
+    """Q_t along one path via the per-step matrix exponential of the Ricci
+    operator, transported-frame components, shape (N+1, d, d).
 
-    Deterministic function of (seed, path_index): rerunning with identical
-    arguments reproduces the record bitwise.
-    """
-    n_steps = _check_grid(t, h)
-    walk = ChunkWalk(m, [WalkGroup(seed, t, n_steps, path_index, path_index + 1,
-                                   x0=np.asarray(x0.coords))])
-    amb, d = m.ambient_dim, m.dim
-    points = np.empty((n_steps + 1, amb))
-    frames = np.empty((n_steps + 1, d, amb))
-    # the generator yields before each move, so the loop body sees node k
-    for k, _dB in walk.steps():
-        points[k] = walk.points[0]
-        frames[k] = walk.frames[0]
-    points[n_steps] = walk.points[0]
-    frames[n_steps] = walk.frames[0]
-    return PathRecord(
-        times=np.linspace(0.0, t, n_steps + 1),
-        points=points,
-        frames=frames,
-        increments=walk.increments[0],
-        seed=int(seed),
-        path_index=int(path_index),
-    )
-
-
-def damped_transport(m: ManifoldModel, path: PathRecord) -> np.ndarray:
-    """Q_t along the path, transported-frame components, shape (N+1, d, d).
-
-    On the constant-curvature models Ric# = (d-1) kappa id, so each step is
-    the exact scalar exponential; Q stays a multiple of the identity.
-    """
-    d = m.dim
-    n = path.n_steps
-    out = np.empty((n + 1, d, d))
-    scale = q_decay_factor(m, path.times)
-    eye = np.eye(d)
-    for k in range(n + 1):
-        out[k] = scale[k] * eye
-    return out
-
-
-def damped_transport_generic(m: ManifoldModel, path: PathRecord) -> np.ndarray:
-    """Q_t via the per-step matrix exponential of the Ricci operator.
-
-    Independent route used as a redundancy oracle: contracts the curvature
-    package instead of the closed-form scalar decay.
+    The path starts at ``x0`` (ambient,) with frame ``frame0`` (d, ambient)
+    and takes the N steps of size ``h`` of its (N, d) ``increments``.
+    Independent route used as a redundancy oracle for
+    :func:`q_decay_factor`: contracts the curvature package instead of the
+    closed-form scalar decay.
     """
     from scipy.linalg import expm
 
     d = m.dim
-    n = path.n_steps
-    h = path.step
-    out = np.empty((n + 1, d, d))
+    x = Point(x0)
+    out = np.empty((len(increments) + 1, d, d))
     out[0] = np.eye(d)
-    pkg = curvature_package(m, Point(path.points[0]),
-                            OrthonormalFrame(Point(path.points[0]), path.frames[0]))
+    pkg = curvature_package(m, x, OrthonormalFrame(x, frame0))
     step_mat = expm(-h * pkg.ricci)  # Ricci is position independent on models
-    for k in range(n):
+    for k in range(len(increments)):
         out[k + 1] = step_mat @ out[k]
     return out
 
 
-def _w_step_terms(riemann: np.ndarray, drift3: np.ndarray, dB: np.ndarray,
-                  qv: np.ndarray, qw: np.ndarray, h: float) -> np.ndarray:
-    # R(frame dB, Qv) Qw  - h * (d*R + grad Ric#)(Qv, Qw), frame components
-    incr = np.einsum("ijkl,i,j,k->l", riemann, dB, qv, qw)
-    incr -= h * np.einsum("ijl,i,j->l", drift3, qv, qw)
-    return incr
-
-
-def w_step(m: ManifoldModel, W: np.ndarray, dB: np.ndarray,
-           qv: np.ndarray, qw: np.ndarray, damp: float) -> np.ndarray:
-    """One step of the W recursion for a chunk of paths, frame components.
-
-    ``W`` and ``dB`` are (d, n); ``qv``, ``qw`` are the (d,)
-    damped-transport images of v and w.  On constant curvature R(dB, qv) qw
-    reduces to kappa (<qv, qw> dB - <dB, qw> qv), and the Ricci damping is
-    the scalar ``damp``.
-    """
-    if m.sectional_curvature == 0.0:
-        return damp * W
-    return w_update(m, W, dB, qv[:, None], np.dot(qv, qw), qw @ dB, damp)
-
-
 def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
              qvw, qw_dB, damp) -> np.ndarray:
-    """The W step of :func:`w_step` from its inner products.
+    """One step of the W recursion for a chunk of paths, frame components,
+    from its inner products.
 
-    ``qvw`` is <qv, qw> and ``qw_dB`` is <qw, dB>; with ``qv`` (d, n) and
+    ``W`` and ``dB`` are (d, n), ``qv`` is the damped-transport image of v,
+    ``qvw`` is <qv, qw> and ``qw_dB`` is <qw, dB>.  On constant curvature
+    R(dB, qv) qw reduces to kappa (<qv, qw> dB - <dB, qw> qv), and the
+    Ricci damping is the scalar ``damp``.  With ``qv`` (d, n) and
     ``qvw``, ``qw_dB``, ``damp`` of shape (n,) every path has its own step
     size and transport factor, which is how a batch of groups walks.  The
     operands broadcast, so a leading pair axis (``W`` (P, d, n), ``qv``
@@ -552,53 +458,37 @@ def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
     return damp * W + kappa * (qvw * dB - qv * qw_dB)
 
 
-def w_process(m: ManifoldModel, path: PathRecord, q: np.ndarray,
-              v: TangentVector, w: TangentVector) -> np.ndarray:
-    """W_t(v, w) along the path, components in the transported frame.
+def w_process_generic(m: ManifoldModel, x0: np.ndarray, frame0: np.ndarray,
+                      increments: np.ndarray, h: float, q: np.ndarray,
+                      v: TangentVector, w: TangentVector) -> np.ndarray:
+    """W_t(v, w) along one path with all curvature action read from the
+    curvature package, components in the transported frame, (N+1, d).
 
-    Ito recursion with left-point curvature action and exact-exponential
-    Ricci damping (matching the damped transport discretization):
+    The path is given as for :func:`damped_transport_generic`, ``q`` is its
+    (N+1, d, d) damped transport and v, w are tangent vectors at x0.  Ito
+    recursion with left-point curvature action and exact-exponential Ricci
+    damping:
 
         W_{k+1} = e^{-h Ric#} W_k + R(dB_k, Q_k v) Q_k w
                   - h (d*R + grad Ric#)(Q_k v, Q_k w)
 
-    The drift term vanishes identically on constant-curvature models.  Each
-    step is :func:`w_step` on a one-path chunk.
+    The drift term vanishes identically on the models, where the rest is
+    :func:`w_update`'s closed form.
     """
-    d = m.dim
-    n = path.n_steps
-    h = path.step
-    vbar, wbar = _vw_components(m, Point(path.points[0]), v, w)
-    damp = math.exp(-h * (d - 1) * m.sectional_curvature)
-    out = np.zeros((n + 1, d))
-    W = np.zeros((d, 1))
-    for k in range(n):
-        W = w_step(m, W, path.increments[k][:, None], q[k] @ vbar, q[k] @ wbar, damp)
-        out[k + 1] = W[:, 0]
-    return out
-
-
-def w_process_generic(m: ManifoldModel, path: PathRecord, q: np.ndarray,
-                      v: TangentVector, w: TangentVector) -> np.ndarray:
-    """W_t(v, w) with all curvature action read from the curvature package."""
     from scipy.linalg import expm
 
     d = m.dim
-    n = path.n_steps
-    h = path.step
-    x0 = Point(path.points[0])
-    pkg = curvature_package(m, x0, OrthonormalFrame(x0, path.frames[0]))
+    x = Point(x0)
+    pkg = curvature_package(m, x, OrthonormalFrame(x, frame0))
     drift3 = pkg.dstar_r + pkg.ricci_sharp_grad
     damp = expm(-h * pkg.ricci)
-    vbar, wbar = _vw_components(m, x0, v, w)
-    out = np.zeros((n + 1, d))
-    W = np.zeros(d)
-    for k in range(n):
-        qv = q[k] @ vbar
-        qw = q[k] @ wbar
-        incr = _w_step_terms(pkg.riemann, drift3, path.increments[k], qv, qw, h)
-        W = damp @ W + incr
-        out[k + 1] = W
+    vbar, wbar = _vw_components(m, x, v, w)
+    out = np.zeros((len(increments) + 1, d))
+    for k, dB in enumerate(increments):
+        qv, qw = q[k] @ vbar, q[k] @ wbar
+        out[k + 1] = (damp @ out[k]
+                      + np.einsum("ijkl,i,j,k->l", pkg.riemann, dB, qv, qw)
+                      - h * np.einsum("ijl,i,j->l", drift3, qv, qw))
     return out
 
 

@@ -37,3 +37,15 @@ def test_import_adds_only_mheat_modules():
     assert "mheat" in added
     assert [name for name in added
             if name != "mheat" and not name.startswith("mheat.")] == []
+
+
+def test_public_names_resolve():
+    # every exported name is there, and the single-path API is not: walks
+    # go through transport.ChunkWalk, Q through q_decay_factor and W
+    # through w_update
+    for name in mheat.__all__:
+        assert hasattr(mheat, name), name
+    for name in ("PathRecord", "sample_path", "damped_transport", "w_process",
+                 "w_step"):
+        assert not hasattr(mheat, name), name
+        assert not hasattr(mheat.transport, name), name

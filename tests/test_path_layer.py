@@ -372,7 +372,7 @@ def test_simulate_table_golden(tmp_path, threads):
 # structure: one place builds Monte Carlo walks
 
 def test_chunk_walk_built_only_in_path_layer():
-    allowed = {("semigroup", "_walk_chunks"), ("transport", "sample_path")}
+    allowed = {("semigroup", "_walk_chunks")}
     found = set()
     for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -408,10 +408,9 @@ def test_step_count_rule_only_in_transport():
 
 
 def test_w_recursion_called_only_by_the_hessian_observer():
-    # the W step runs in semigroup's Hessian observer, which verify's
-    # domination samples also use, and in transport's single-pair helpers
-    allowed = {("semigroup", "_hess_nodes"), ("transport", "w_step"),
-               ("transport", "w_process")}
+    # the W step runs only in semigroup's Hessian observer, which verify's
+    # domination samples also use
+    allowed = {("semigroup", "_hess_nodes")}
     found = set()
     for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -421,7 +420,7 @@ def test_w_recursion_called_only_by_the_hessian_observer():
                     continue
                 fn = node.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if name in ("w_step", "w_update"):
+                if name == "w_update":
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == allowed
 

@@ -16,8 +16,7 @@ import pytest
 from mheat import verify
 from mheat.geometry import Hyperbolic, Point, Sphere, TangentVector, gaussian_bump_field
 from mheat.semigroup import _hess_nodes, _walk_chunks
-from mheat.transport import (_vw_components, damped_transport, frame_components,
-                             q_decay_factor, sample_path, w_process)
+from mheat.transport import WalkGroup, _vw_components, frame_components, q_decay_factor
 from mheat.verify import BoundCheckConfig, check_semigroup_bounds
 
 
@@ -31,10 +30,10 @@ def _point(m, key):
 
 
 @pytest.mark.parametrize("kind", ["h2", "s3"])
-def test_marks_equal_the_single_path_route(kind):
+def test_marks_equal_the_single_path_route(kind, record_walk):
     # each horizon's estimate is the mean over paths of the mixed sample
     # Hess f(Q v, Q w) + df(W(v, w)) at that horizon's step of the longest
-    # walk, taken here one path at a time through the single-path helpers
+    # walk, taken here one path at a time off a recorded walk
     m = _model(kind)
     f = gaussian_bump_field(m, center=_point(m, 71), lam=1.5)
     x = Point(_point(m, 72))
@@ -48,12 +47,11 @@ def test_marks_equal_the_single_path_route(kind):
     assert [e.t for e in ests] == horizons
     vbar, wbar = _vw_components(m, x, v, w)
     samples = np.zeros((len(marks), n_paths))
-    for p in range(n_paths):
-        path = sample_path(m, x, horizons[-1], h, seed, p)
-        q = damped_transport(m, path)
-        W = w_process(m, path, q, v, w)
+    path = record_walk(m, WalkGroup(seed, horizons[-1], marks[-1], 0, n_paths,
+                                    x0=np.asarray(x.coords)))
+    for p, W in enumerate(path.w(vbar, wbar)):
         for j, (t, k) in enumerate(zip(horizons, marks)):
-            pts, frs = path.points[k][None], path.frames[k][None]
+            pts, frs = path.points[p, k][None], path.frames[p, k][None]
             qT = float(q_decay_factor(m, t))
             H = f.hess_fn(pts, frs)[0]
             gc = frame_components(m, frs, f.grad_fn(pts))[0]

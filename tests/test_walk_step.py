@@ -104,12 +104,13 @@ def test_chunk_walk_views_follow_the_state(m):
     n, d, amb = 6, m.dim, m.ambient_dim
     assert walk.points.shape == (n, amb)
     assert walk.frames.shape == (n, d, amb)
-    assert walk.increments.shape == (n, 5, d)
-    assert np.array_equal(walk.increments, increment_block(3, 5, d, walk.h, 0, 6))
+    (inc,) = walk.group_increments
+    assert inc.shape == (5, d, n)
+    assert np.array_equal(inc.transpose(2, 0, 1), increment_block(3, 5, d, walk.h, 0, 6))
     for k, dB in walk.steps():
         assert dB.shape == (n, d)
         assert dB.T.flags.c_contiguous
-        assert np.array_equal(dB, walk.increments[:, k, :])
+        assert np.array_equal(dB.T, inc[k])
 
 
 # draws of increment_block at fixed (path, step, coordinate) positions; a
