@@ -302,9 +302,6 @@ class ManifoldModel:
         """Volume of a geodesic ball (homogeneous spaces: center independent)."""
         raise NotImplementedError
 
-    def total_volume(self) -> float:
-        return math.inf
-
     # -- misc ----------------------------------------------------------------
     def base_point(self) -> np.ndarray:
         raise NotImplementedError
@@ -439,9 +436,6 @@ class Torus(ManifoldModel):
             return 2.0 * float(np.sum(w * areas))
         raise NotImplementedError("torus ball volumes implemented for d <= 3")
 
-    def total_volume(self):
-        return (2.0 * math.pi) ** self.dim
-
     def base_point(self):
         return np.zeros(self.dim)
 
@@ -539,9 +533,6 @@ class Sphere(ManifoldModel):
         w = 0.5 * r * weights
         integrand = (a * np.sin(s / a)) ** (d - 1)
         return unit_sphere_area(d) * float(np.sum(w * integrand))
-
-    def total_volume(self):
-        return self.ball_volume(math.pi * self.radius)
 
     def base_point(self):
         x = np.zeros(self.ambient_dim)

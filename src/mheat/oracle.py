@@ -513,16 +513,15 @@ def heat_kernel(m: ManifoldModel, x: Point, y: Point, t: float) -> KernelEval:
 # ---------------------------------------------------------------------------
 # quadrature grids
 
-def quadrature_grid(m: ManifoldModel, resolution: int,
-                    half_width: Optional[float] = None) -> QuadratureGrid:
+def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
     """Deterministic grid integrating against the Riemannian volume measure.
 
     * torus: uniform product grid, exact for trigonometric polynomials of
       degree < resolution per axis
     * sphere (d = 2): Gauss-Legendre x uniform azimuth, exact for spherical
       polynomials up to degree 2 * resolution - 1
-    * euclidean: Gauss-Legendre box [-L, L]^d with L = half_width
-      (caller owns the tail bound for its integrand)
+    * euclidean: Gauss-Legendre box [-10, 10]^d (caller owns the tail
+      bound for its integrand)
     * hyperbolic (d = 2): geodesic polar grid on the ball of fixed radius
       12 about the base point (OracleError when a * 12 leaves hyperboloid
       coordinates too inexact).  Its farthest nodes sit at x0 = 7.3e4 for
@@ -551,7 +550,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int,
         w = (a * a * 2.0 * math.pi / nphi) * np.repeat(cw, nphi)
         return QuadratureGrid(nodes, w, (resolution, nphi), m.kind)
     if isinstance(m, Euclidean):
-        L = 10.0 if half_width is None else float(half_width)
+        L = 10.0
         xn, xw = leggauss(resolution)
         xn = L * xn
         xw = L * xw

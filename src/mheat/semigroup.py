@@ -3,8 +3,8 @@ operator Hess (Delta + sigma)^{-1}.
 
 Two independent Hessian representations are implemented:
 
-* ``bismut`` needs only point evaluations of f.  With the deterministic
-  profiles k_s = max((t - 2s)/t, 0) and l_s = min(1, 2(t - s)/t),
+* ``bismut`` needs only point evaluations of f.  With the fixed profiles
+  k_s = max((t - 2s)/t, 0) and l_s = min(1, 2(t - s)/t),
 
       Hess P_t f(v, w) = -1/2 E[ f(X_t) int_0^t <W_s(k'_s v, w), dB_s> ]
                          + 1/4 E[ f(X_t) int_{t/2}^t <Q_s(l'_s w), dB_s>
@@ -14,6 +14,9 @@ Two independent Hessian representations are implemented:
   quadratic covariation 2 dt (increments have variance 2h per coordinate so
   the walk's generator is the geometric Laplacian); they were validated
   against closed-form Hessians on flat space and sphere eigenfunctions.
+  The profiles' derivatives are closed form: k'_s = -2/t at the steps with
+  s < t/2 and l'_s = -2/t at every later step, so one half-step index per
+  path set says which integral a step feeds.
 
 * ``mixed`` pushes derivatives onto f through the transport processes:
 
@@ -51,8 +54,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -72,8 +75,6 @@ __all__ = [
     "estimate_endpoint",
     "default_theta",
     "derive_seed",
-    "default_kdot",
-    "default_ldot",
 ]
 
 DEFAULT_CHUNK = 4096
@@ -99,35 +100,19 @@ def derive_seed(seed: int, *idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# ---------------------------------------------------------------------------
-# profiles
-
-def default_kdot(s: float, t: float) -> float:
-    """Derivative of k_s = max((t - 2s)/t, 0): -2/t on [0, t/2), then 0."""
-    return -2.0 / t if s < 0.5 * t else 0.0
-
-
-def default_ldot(s: float, t: float) -> float:
-    """Derivative of l_s = min(1, 2(t - s)/t): 0 on [0, t/2), then -2/t."""
-    return -2.0 / t if s >= 0.5 * t else 0.0
-
-
 @dataclass
 class HessianEstimatorConfig:
-    """Profiles and quadrature controls for the Hessian/Green estimators.
-
-    ``kdot``/``ldot`` default to the derivatives of the piecewise-linear
-    profiles above; custom profiles must keep kdot supported in [0, t/2) and
-    ldot in [t/2, t] with integrals -1 each.
-    """
+    """Quadrature controls for the Green estimator: the resolvent shift
+    ``sigma``, the Kato rate ``theta`` (None: :func:`default_theta`), the
+    log-time node range [``t_min``, ``t_max``] (``t_max`` None: set from
+    the decay rate by :func:`_green_horizon`) and the node count
+    ``n_nodes``."""
 
     sigma: float = 1.0
     theta: Optional[float] = None
     t_min: float = 1e-3
     t_max: Optional[float] = None
     n_nodes: int = 40
-    kdot: Callable[[float, float], float] = field(default=default_kdot)
-    ldot: Callable[[float, float], float] = field(default=default_ldot)
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -136,18 +121,6 @@ class HessianEstimatorConfig:
             raise ValueError("n_nodes must be at least 4")
         if not (0 < self.t_min):
             raise ValueError("t_min must be positive")
-
-    def validate_profiles(self, t: float) -> None:
-        s = np.linspace(0.0, t, 64, endpoint=False)
-        h = t / 64
-        kint = sum(self.kdot(float(si), t) for si in s) * h
-        lint = sum(self.ldot(float(si), t) for si in s) * h
-        if abs(kint + 1.0) > 0.05 or abs(lint + 1.0) > 0.05:
-            raise ValueError("profile derivatives must integrate to -1 over [0, t]")
-        if any(self.kdot(float(si), t) != 0.0 for si in s if si >= 0.5 * t):
-            raise ValueError("kdot must vanish on [t/2, t]")
-        if any(self.ldot(float(si), t) != 0.0 for si in s if si < 0.5 * t):
-            raise ValueError("ldot must vanish on [0, t/2)")
 
 
 @dataclass
@@ -407,8 +380,12 @@ def estimate_hess(m: ManifoldModel, f: ScalarField, x: Point, v: TangentVector,
                   mode: str = "bismut", *, n_paths: int, h: float, seed: int,
                   antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
                   threads: Optional[int] = None) -> McEstimate:
-    """Hess P_t f(v, w)(x) by the chosen representation formula."""
-    (est,) = _hess_nodes(m, f, x, v, w, cfg, mode, t=[t], h=[h], seed=[seed],
+    """Hess P_t f(v, w)(x) by the chosen representation formula.
+
+    ``cfg`` is accepted and unused: the Hessian's bismut weights are fixed
+    (see the module docstring) and the config's controls are Green's.
+    """
+    (est,) = _hess_nodes(m, f, x, v, w, mode, t=[t], h=[h], seed=[seed],
                          n_paths=[n_paths], antithetic=antithetic,
                          chunk_size=chunk_size, threads=threads)
     if est.variance_dominated:
@@ -428,8 +405,7 @@ class _HessNode:
     marks: list         # step count of each horizon
     qT: list            # transport factor at each horizon
     qvals: np.ndarray   # damped-transport factor at each step's left node
-    kd: Optional[np.ndarray]  # kdot and ldot at the left nodes, bismut only
-    ld: Optional[np.ndarray]
+    half: int           # first step with s >= t/2: k' before it, l' from it
     damp: float         # Ricci damping of W per step
     qw: np.ndarray      # (n_steps, P, d) rows qvals[k] * wbar[p]
     qvw: np.ndarray     # (w_steps, P) <qvals[k] vbar[p], qvals[k] wbar[p]>
@@ -448,11 +424,10 @@ def _require_oracles(f: ScalarField, mode: Optional[str]) -> None:
                          f"Laplacian oracles that mixed mode needs")
 
 
-def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
-                cfg: Optional[HessianEstimatorConfig], mode: str, *, t, h, seed,
-                n_paths, antithetic: bool = True, chunk_size: int = DEFAULT_CHUNK,
-                threads: Optional[int] = None, one_wave: bool = False,
-                moments: bool = False):
+def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w, mode: str, *, t, h,
+                seed, n_paths, antithetic: bool = True,
+                chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
+                one_wave: bool = False, moments: bool = False):
     """Hess P_t f(v, w) at several horizons and start points, one
     McEstimate per (path set, horizon), in order.
 
@@ -465,7 +440,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
     horizon's samples off the same paths.  Mixed mode's per-step
     coefficients (transport factor, damping, <Q v, Q w>) do not depend on
     the horizon, so each sample is exactly the estimator at its horizon;
-    bismut's weights do, through kdot(s, t), so a bismut set takes one
+    bismut's weights do, through k'_s = -2/t, so a bismut set takes one
     horizon.  Per-step coefficients are per path, and each set's small
     products with its increments are taken on that group's own rows, so
     each estimate is bitwise what a call for that set alone returns.
@@ -482,7 +457,6 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
     if mode not in ("bismut", "mixed"):
         raise ValueError("mode must be 'bismut' or 'mixed'")
     _require_oracles(f, mode)
-    cfg = cfg or HessianEstimatorConfig()
     d = m.dim
     kappa = m.sectional_curvature
     one_pair = isinstance(v, TangentVector)
@@ -502,26 +476,21 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
             raise ValueError("a path set's horizons must be sorted")
         marks = [_check_grid(tj, hi) for tj in ts]
         t_end, n_steps = ts[-1], marks[-1]
-        if cfg.kdot is not default_kdot or cfg.ldot is not default_ldot:
-            cfg.validate_profiles(t_end)
         svals = np.arange(n_steps) * hi
         qvals = q_decay_factor(m, svals)
-        if mode == "bismut":
-            kd = np.array([cfg.kdot(float(s), t_end) for s in svals])
-            ld = np.array([cfg.ldot(float(s), t_end) for s in svals])
-        else:
-            kd = ld = None  # mixed reads no weights
+        half = int(np.count_nonzero(svals < 0.5 * t_end))
         qv, qw = qvals[:, None, None] * vbar, qvals[:, None, None] * wbar
         if kappa == 0.0:
             w_steps = 0  # W stays 0
         elif mode == "mixed":
             w_steps = n_steps
         else:
-            # bismut reads W only where kdot is nonzero
-            w_steps = int(np.flatnonzero(kd)[-1]) if np.any(kd) else 0
+            # bismut reads W at steps k < half, so the updates from step
+            # half - 1 on are never read
+            w_steps = half - 1
         nodes.append(_HessNode(
             t=ts, marks=marks, qT=[float(q_decay_factor(m, tj)) for tj in ts],
-            qvals=qvals, kd=kd, ld=ld,
+            qvals=qvals, half=half,
             damp=math.exp(-hi * (d - 1) * kappa), qw=qw,
             # a stacked (1, d) @ (d, 1) matmul is np.dot's ddot, bit for bit
             qvw=np.matmul(qv[:w_steps, :, None, :], qw[:w_steps, :, :, None])[..., 0, 0],
@@ -591,13 +560,14 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w,
                 for g in range(live):
                     nd, lo, hi = node[g], bounds[g], bounds[g + 1]
                     rows = walk.group_step(g, k)
-                    if nd.kd[k] != 0.0:
+                    dot = -2.0 / nd.t[-1]  # k' before the half step, l' from it
+                    if k < nd.half:
                         if e is None:
                             e = np.einsum("pdn,dn->pn", W[..., :nl], dB)
-                        IW[:, lo:hi] += nd.kd[k] * e[:, lo:hi]
-                        Iv[:, lo:hi] += nd.kd[k] * nd.qvals[k] * (vbar @ rows)
-                    if nd.ld[k] != 0.0:
-                        Iw[:, lo:hi] += nd.ld[k] * nd.qvals[k] * (wbar @ rows)
+                        IW[:, lo:hi] += dot * e[:, lo:hi]
+                        Iv[:, lo:hi] += dot * nd.qvals[k] * (vbar @ rows)
+                    else:
+                        Iw[:, lo:hi] += dot * nd.qvals[k] * (wbar @ rows)
             if k < w_steps:
                 qw_dB = np.empty((P, nl))
                 for g in range(live):
@@ -748,7 +718,7 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
         # variance domination at individual tail nodes (value near zero) is
         # expected; it is counted into the notes, not warned per node
         return _hess_nodes(
-            m, f, x, v, w, cfg, mode, t=[float(tn) for tn in nodes],
+            m, f, x, v, w, mode, t=[float(tn) for tn in nodes],
             h=[float(tn) / int(k) for tn, k in zip(nodes, n_steps)],
             seed=[derive_seed(seed, stream, i) for i in range(len(nodes))],
             n_paths=[int(c) for c in counts], antithetic=antithetic,

@@ -34,11 +34,11 @@ import numpy as np
 
 from .geometry import (
     ManifoldModel,
-    OrthonormalFrame,
     Point,
     ScalarField,
     Sphere,
     Torus,
+    _frame_at,
     compact_bump_field,
     const_field,
     curvature_package,
@@ -171,8 +171,7 @@ def curvature_squared_potential(m: ManifoldModel) -> ScalarField:
     """|R|^2 as a potential; constant on model spaces, read off the
     curvature package rather than hard-coded."""
     x = Point(m.base_point())
-    frame = OrthonormalFrame(x, m.frame(np.asarray(x.coords)[None, :])[0])
-    pkg = curvature_package(m, x, frame)
+    pkg = curvature_package(m, x, _frame_at(m, x))
     f = const_field(m, pkg.r_opnorm ** 2)
     f.name = "curvature-r2"
     return f
@@ -181,8 +180,7 @@ def curvature_squared_potential(m: ManifoldModel) -> ScalarField:
 def ric_grad_squared_potential(m: ManifoldModel) -> ScalarField:
     """|grad Ric# + d*R|^2; identically zero on constant-curvature models."""
     x = Point(m.base_point())
-    frame = OrthonormalFrame(x, m.frame(np.asarray(x.coords)[None, :])[0])
-    pkg = curvature_package(m, x, frame)
+    pkg = curvature_package(m, x, _frame_at(m, x))
     mag = float(np.sum((pkg.ricci_sharp_grad + pkg.dstar_r) ** 2))
     f = const_field(m, mag)
     f.name = "ricgrad-r2"
@@ -435,16 +433,16 @@ def check_weighted_l2(m: ManifoldModel, cfg: BoundCheckConfig):
 # Gaffney off-diagonal decay
 
 def _gaffney_scan(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
-                  centerE: np.ndarray, centerF: np.ndarray, radius: float,
+                  centerE: np.ndarray, antipode: np.ndarray, radius: float,
                   t_grid: np.ndarray, n_rad: int, n_ang: int):
     K = m.ricci_lower_bound
     theta = default_theta(m)
     f = compact_bump_field(m, center=centerE, r0=radius)
     gridE = polar_grid(m, centerE, radius, n_rad, n_ang)
-    gridF = polar_grid(m, centerF, radius, n_rad, n_ang)
+    gridF = polar_grid(m, antipode, radius, n_rad, n_ang)
     fvals = f.eval_fn(gridE.nodes)
     fnorm = lp_norm(gridE, fvals, p)
-    rho_ef = float(m.distance(centerE[None, :], centerF[None, :])[0]) - 2 * radius
+    rho_ef = float(m.distance(centerE[None, :], antipode[None, :])[0]) - 2 * radius
     norms, reliable = [], []
     coef = gridE.weights * fvals
     for t in t_grid:
@@ -471,11 +469,11 @@ def _gaffney_scan(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
 
 
 def _gaffney_caps(m: ManifoldModel, p: float, cap_radius: float = _CAP_RADIUS,
-                  centerE: Optional[np.ndarray] = None,
-                  centerF: Optional[np.ndarray] = None):
-    """The cap centres of :func:`check_gaffney`, by default the base point
-    and its antipode (on the torus, the point shifted by pi); a ValueError
-    unless p >= 2, the model is compact and the caps are disjoint."""
+                  centerE: Optional[np.ndarray] = None):
+    """The cap centres of :func:`check_gaffney`: ``centerE``, by default the
+    base point, and its antipode (on the torus, the point shifted by pi); a
+    ValueError unless p >= 2, the model is compact and the caps are
+    disjoint."""
     if p < 2:
         raise ValueError(f"p = {p:g}: the off-diagonal Hessian scan needs p >= 2")
     if not isinstance(m, (Torus, Sphere)):
@@ -484,33 +482,29 @@ def _gaffney_caps(m: ManifoldModel, p: float, cap_radius: float = _CAP_RADIUS,
     if centerE is None:
         centerE = m.base_point()
     centerE = np.asarray(centerE, dtype=float)
-    if centerF is None:
-        if isinstance(m, Torus):
-            centerF = m.retract(centerE + math.pi)
-        else:
-            centerF = -centerE
-    centerF = np.asarray(centerF, dtype=float)
-    sep = float(m.distance(centerE[None, :], centerF[None, :])[0])
+    antipode = m.retract(centerE + math.pi) if isinstance(m, Torus) else -centerE
+    sep = float(m.distance(centerE[None, :], antipode[None, :])[0])
     if sep <= 2 * cap_radius:
         raise ValueError(f"cap_radius = {cap_radius:g}: the caps overlap, "
                          f"rho(E, F) must be positive")
-    return centerE, centerF
+    return centerE, antipode
 
 
 def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
                   cap_radius: float = _CAP_RADIUS,
-                  centerE: Optional[np.ndarray] = None,
-                  centerF: Optional[np.ndarray] = None) -> BoundReport:
-    """Off-diagonal decay of t |Hess P_t f| in L^p between disjoint caps.
+                  centerE: Optional[np.ndarray] = None) -> BoundReport:
+    """Off-diagonal decay of t |Hess P_t f| in L^p between disjoint caps:
+    E about ``centerE`` (by default the base point) and F about its
+    antipode (on the torus, ``centerE`` shifted by pi).
 
     The decay rate C4 is fitted by regressing the log of the normalized
     norm on rho(E, F)^2 / t; reported ratios use 0.9 * C4 so that a genuine
     Gaussian decay makes them tend to zero monotonically as t -> 0.
     """
-    centerE, centerF = _gaffney_caps(m, p, cap_radius, centerE, centerF)
+    centerE, antipode = _gaffney_caps(m, p, cap_radius, centerE)
     t_grid = cfg.t_grid
-    base = _gaffney_scan(m, cfg, p, centerE, centerF, cap_radius, t_grid, 12, 20)
-    fine = _gaffney_scan(m, cfg, p, centerE, centerF, cap_radius, t_grid, 18, 30)
+    base = _gaffney_scan(m, cfg, p, centerE, antipode, cap_radius, t_grid, 12, 20)
+    fine = _gaffney_scan(m, cfg, p, centerE, antipode, cap_radius, t_grid, 18, 30)
     norms, denom, ratios, c4_fit, c4_used, rho_ef, reliable = base
     # decay toward t -> 0: below the peak the ratio must shrink with t;
     # unreliable t-nodes leave the monotonicity test and the maximum
@@ -577,7 +571,7 @@ def _semigroup_sets(m: ManifoldModel, f: ScalarField, xs: Sequence[Point],
     d = m.dim
     eye = np.eye(d)
     ests = _hess_nodes(m, f, list(xs), np.repeat(eye, d, axis=0), np.tile(eye, (d, 1)),
-                       None, "mixed", t=[list(ts)] * len(xs), h=[h] * len(xs),
+                       "mixed", t=[list(ts)] * len(xs), h=[h] * len(xs),
                        seed=list(seeds), n_paths=[n_paths] * len(xs),
                        antithetic=False, chunk_size=SEMIGROUP_CHUNK,
                        threads=threads, moments=True)

@@ -79,7 +79,7 @@ def test_batched_nodes_match_standalone_estimates(kind, mode, threads):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 alone = estimate_hess(
-                    *args[:5], kw["t"][i], *args[5:7], n_paths=kw["n_paths"][i],
+                    *args[:5], kw["t"][i], mode=args[5], n_paths=kw["n_paths"][i],
                     h=kw["h"][i], seed=kw["seed"][i], chunk_size=64, threads=threads)
             assert est.scalar.hex() == alone.scalar.hex(), (i, kw["n_paths"][i])
             assert est.scalar_stderr.hex() == alone.scalar_stderr.hex()

@@ -1,6 +1,9 @@
 """What importing the package loads."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -40,12 +43,24 @@ def test_import_adds_only_mheat_modules():
 
 
 def test_public_names_resolve():
-    # every exported name is there, and the single-path API is not: walks
-    # go through transport.ChunkWalk, Q through q_decay_factor and W
-    # through w_update
+    # every exported name of the package and of each submodule is there,
+    # and the single-path API is not: walks go through transport.ChunkWalk,
+    # Q through q_decay_factor and W through w_update
     for name in mheat.__all__:
         assert hasattr(mheat, name), name
+    for sub in pkgutil.iter_modules(mheat.__path__, "mheat."):
+        module = importlib.import_module(sub.name)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{sub.name}.{name}"
     for name in ("PathRecord", "sample_path", "damped_transport", "w_process",
                  "w_step"):
         assert not hasattr(mheat, name), name
         assert not hasattr(mheat.transport, name), name
+    # the bismut profiles are fixed in closed form, and the Euclidean
+    # quadrature box has one half-width
+    for name in ("default_kdot", "default_ldot"):
+        assert not hasattr(mheat, name), name
+        assert not hasattr(mheat.semigroup, name), name
+    for name in ("kdot", "ldot", "validate_profiles"):
+        assert not hasattr(mheat.HessianEstimatorConfig, name), name
+    assert "half_width" not in inspect.signature(mheat.quadrature_grid).parameters

@@ -238,7 +238,7 @@ def test_quadrature_rejects_unsupported():
 
 def test_euclidean_grid_gaussian_integral():
     m = Euclidean(2)
-    grid = quadrature_grid(m, 80, half_width=10.0)
+    grid = quadrature_grid(m, 80)
     vals = kernel_on_grid(m, grid.nodes, np.zeros(2), 1.0)["p"]
     assert abs(grid.integrate(vals) - 1.0) < 1e-10
 

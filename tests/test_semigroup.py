@@ -385,39 +385,3 @@ def test_antithetic_requires_even_paths():
     f = norm_squared_field(m)
     with pytest.raises(ValueError):
         estimate_pt(m, f, Point([0.0]), 0.2, n_paths=101, h=0.002, seed=1)
-
-
-def test_custom_profile_validation():
-    m = Euclidean(2)
-    f = square_coordinate_field(m)
-    x = Point([0.0, 0.0])
-    v = tv(m, x, [1, 0])
-
-    def bad_kdot(s, t):
-        return -1.0 / t  # integrates to -1 but does not vanish on [t/2, t]
-
-    from mheat.semigroup import default_ldot
-    cfg = HessianEstimatorConfig(kdot=bad_kdot, ldot=default_ldot)
-    with pytest.raises(ValueError, match="kdot"):
-        estimate_hess(m, f, x, v, v, 0.2, cfg=cfg, mode="bismut",
-                      n_paths=64, h=0.002, seed=1)
-
-
-def test_custom_profile_equivalent_to_default():
-    m = Euclidean(2)
-    f = square_coordinate_field(m)
-    x = Point([0.1, 0.0])
-    v = tv(m, x, [1, 0])
-
-    def kdot(s, t):
-        return -2.0 / t if s < 0.5 * t else 0.0
-
-    def ldot(s, t):
-        return -2.0 / t if s >= 0.5 * t else 0.0
-
-    cfg = HessianEstimatorConfig(kdot=kdot, ldot=ldot)
-    a = estimate_hess(m, f, x, v, v, 0.2, cfg=cfg, mode="bismut",
-                      n_paths=2000, h=0.002, seed=2)
-    b = estimate_hess(m, f, x, v, v, 0.2, mode="bismut",
-                      n_paths=2000, h=0.002, seed=2)
-    assert a.scalar == b.scalar

@@ -42,7 +42,7 @@ def test_marks_equal_the_single_path_route(kind, record_walk):
     w = TangentVector(x, 0.6 * F[0] + 0.8 * F[1])
     h, seed, n_paths = 0.01, 404, 3
     horizons, marks = [0.04, 0.07, 0.12], [4, 7, 12]
-    ests = _hess_nodes(m, f, x, v, w, None, "mixed", t=[horizons], h=[h],
+    ests = _hess_nodes(m, f, x, v, w, "mixed", t=[horizons], h=[h],
                        seed=[seed], n_paths=[n_paths], antithetic=False)
     assert [e.t for e in ests] == horizons
     vbar, wbar = _vw_components(m, x, v, w)
@@ -67,7 +67,7 @@ def test_bismut_set_takes_one_horizon():
     F = m.frame(np.asarray(x.coords)[None, :])[0]
     v = TangentVector(x, F[0])
     with pytest.raises(ValueError, match="one horizon"):
-        _hess_nodes(m, f, x, v, v, None, "bismut", t=[[0.04, 0.08]], h=[0.01],
+        _hess_nodes(m, f, x, v, v, "bismut", t=[[0.04, 0.08]], h=[0.01],
                     seed=[1], n_paths=[4])
 
 
@@ -76,7 +76,7 @@ def test_horizons_of_a_set_must_be_sorted():
     f = gaussian_bump_field(m, lam=1.5)
     eye = np.eye(2)
     with pytest.raises(ValueError, match="sorted"):
-        _hess_nodes(m, f, [Point(m.base_point())], eye, eye, None, "mixed",
+        _hess_nodes(m, f, [Point(m.base_point())], eye, eye, "mixed",
                     t=[[0.08, 0.04]], h=[0.01], seed=[1], n_paths=[4])
 
 

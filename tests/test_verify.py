@@ -108,7 +108,7 @@ def _flat_weighted_integral_exact(s, gamma):
 def test_weighted_l2_flat_matches_analytic():
     m = Euclidean(2)
     from mheat.oracle import kernel_on_grid
-    grid = quadrature_grid(m, 90, half_width=10.0)
+    grid = quadrature_grid(m, 90)
     s, gamma = 1.0, 0.3
     y = np.zeros(2)
     out = kernel_on_grid(m, grid.nodes, y, s, frames=grid.frames(m))
@@ -165,9 +165,9 @@ def test_gaffney_p4_finite():
 def test_gaffney_rejects_overlap():
     m = Torus(2)
     cfg = BoundCheckConfig(alpha=0.2, t_grid=np.geomspace(0.02, 1.0, 5))
-    c = m.base_point()
+    # the antipodal caps lie pi sqrt(2) ~ 4.44 apart, under two radii of 2.5
     with pytest.raises(ValueError, match="overlap"):
-        check_gaffney(m, cfg, p=2.0, cap_radius=0.3, centerE=c, centerF=c)
+        check_gaffney(m, cfg, p=2.0, cap_radius=2.5)
 
 
 # ---------------------------------------------------------------------------
