@@ -16,7 +16,6 @@ from .geometry import (
     Euclidean,
     Hyperbolic,
     ManifoldModel,
-    OrthonormalFrame,
     Point,
     ScalarField,
     Sphere,
@@ -24,11 +23,9 @@ from .geometry import (
     Torus,
     commutation_residual,
     curvature_package,
-    distance_volume,
-    geodesic_step,
     make_manifold,
 )
-from .oracle import KernelEval, QuadratureGrid, heat_kernel, lp_norm, quadrature_grid
+from .oracle import QuadratureGrid, lp_norm, quadrature_grid
 from .semigroup import (
     HessianEstimatorConfig,
     McEstimate,
@@ -51,11 +48,10 @@ from .verify import (
 
 __all__ = [
     "__version__",
-    "CurvaturePackage", "Euclidean", "Hyperbolic", "ManifoldModel",
-    "OrthonormalFrame", "Point", "ScalarField", "Sphere", "TangentVector",
-    "Torus", "commutation_residual", "curvature_package", "distance_volume",
-    "geodesic_step", "make_manifold",
-    "KernelEval", "QuadratureGrid", "heat_kernel", "lp_norm", "quadrature_grid",
+    "CurvaturePackage", "Euclidean", "Hyperbolic", "ManifoldModel", "Point",
+    "ScalarField", "Sphere", "TangentVector", "Torus", "commutation_residual",
+    "curvature_package", "make_manifold",
+    "QuadratureGrid", "lp_norm", "quadrature_grid",
     "HessianEstimatorConfig", "McEstimate", "estimate_grad",
     "estimate_green_hess", "estimate_hess", "estimate_pt",
     "BoundCheckConfig", "BoundReport", "KatoResult", "check_gaffney",

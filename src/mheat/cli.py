@@ -537,16 +537,19 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
     if check in ("semigroup-bounds", "kato") and cfg.n_paths < MIN_STAT_PATHS:
         raise ValueError(f"n_paths must be at least {MIN_STAT_PATHS} "
                          f"for the statistical check {check!r}")
-    bc = BoundCheckConfig(h=cfg.h, **_kwargs(
-        p, alpha=float, beta=float, gamma=float, t_grid=_grid_from_spec,
-        rho_grid=_grid_from_spec, s_grid=_grid_from_spec, grid_resolution=int))
-    if check == "kernel-bounds":
-        reports = lambda: check_kernel_bounds(m, bc)
-    elif check == "weighted-l2":
-        bc.require_gamma()
-        bc.require_tail_beta()
-        reports = lambda: check_weighted_l2(m, bc)
+    # each check's BoundCheckConfig takes only the keys that check reads
+    if check in ("kernel-bounds", "weighted-l2"):
+        bc = BoundCheckConfig(h=cfg.h, **_kwargs(
+            p, alpha=float, beta=float, gamma=float, t_grid=_grid_from_spec,
+            rho_grid=_grid_from_spec, s_grid=_grid_from_spec, grid_resolution=int))
+        if check == "kernel-bounds":
+            reports = lambda: check_kernel_bounds(m, bc)
+        else:
+            bc.require_gamma()
+            bc.require_tail_beta()
+            reports = lambda: check_weighted_l2(m, bc)
     elif check == "gaffney":
+        bc = BoundCheckConfig(**_kwargs(p, t_grid=_grid_from_spec))
         pval = _param(p, "p", float, 2.0)
         opts = _kwargs(p, cap_radius=float)
         _gaffney_caps(m, pval, **opts)
@@ -556,8 +559,8 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
         _require_oracles(f, "mixed")
         opts = _kwargs(p, t_list=_times)
         reports = lambda: check_semigroup_bounds(
-            m, f, bc, n_paths=cfg.n_paths, seed=cfg.seed, threads=cfg.threads,
-            **opts)
+            m, f, BoundCheckConfig(h=cfg.h), n_paths=cfg.n_paths, seed=cfg.seed,
+            threads=cfg.threads, **opts)
     else:
         pot = make_potential(m, p.get("potential", "const"),
                              p.get("potential_params"))

@@ -36,12 +36,9 @@ __all__ = [
     "make_manifold",
     "Point",
     "TangentVector",
-    "OrthonormalFrame",
     "CurvaturePackage",
     "ScalarField",
-    "geodesic_step",
     "curvature_package",
-    "distance_volume",
     "commutation_residual",
     "field_consistency_error",
     "unit_sphere_area",
@@ -83,19 +80,12 @@ class TangentVector:
 
 
 @dataclass(frozen=True)
-class OrthonormalFrame:
-    """d orthonormal tangent vectors at a base point, rows of ``vectors``."""
-
-    base: Point
-    vectors: np.ndarray  # (d, ambient_dim)
-
-
-@dataclass(frozen=True)
 class CurvaturePackage:
-    """Curvature tensors at a point, components in a supplied orthonormal frame.
+    """Curvature tensors of a model, components in an orthonormal frame.
 
     ``riemann[i, j, k, l] = <R(e_i, e_j) e_k, e_l>`` with the closed form
-    ``R(X, Y)Z = kappa (<Y, Z> X - <X, Z> Y)`` on constant-curvature models.
+    ``R(X, Y)Z = kappa (<Y, Z> X - <X, Z> Y)``, the same at every point and
+    in every orthonormal frame (e_i) of a constant-curvature model.
     ``r_opnorm`` is the supremum over unit pairs (v1, v2) of the
     Hilbert-Schmidt norm of the operator ``R(. , v1, v2, .)``.
     """
@@ -125,26 +115,6 @@ class ScalarField:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     laplacian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    support_radius: float = math.inf
-
-    # Point-level convenience API
-    def eval(self, x: Point) -> float:
-        return float(self.eval_fn(np.asarray(x.coords)[None, :])[0])
-
-    def grad(self, x: Point) -> TangentVector:
-        if self.grad_fn is None:
-            raise ValueError(f"field {self.name!r} has no gradient oracle")
-        return TangentVector(x, self.grad_fn(np.asarray(x.coords)[None, :])[0])
-
-    def hess(self, x: Point, frame: OrthonormalFrame) -> np.ndarray:
-        if self.hess_fn is None:
-            raise ValueError(f"field {self.name!r} has no Hessian oracle")
-        return self.hess_fn(np.asarray(x.coords)[None, :], frame.vectors[None, :, :])[0]
-
-    def laplacian(self, x: Point) -> float:
-        if self.laplacian_fn is None:
-            raise ValueError(f"field {self.name!r} has no Laplacian oracle")
-        return float(self.laplacian_fn(np.asarray(x.coords)[None, :])[0])
 
     @property
     def has_oracles(self) -> bool:
@@ -677,22 +647,6 @@ def make_manifold(kind: str, dim: int, radius: float = 1.0,
 # ---------------------------------------------------------------------------
 # operations
 
-def geodesic_step(m: ManifoldModel, x: Point, v: TangentVector, h: float) -> Point:
-    """Move from x along the geodesic with initial velocity v for time h.
-
-    Exact exponential map on all model spaces, followed by a retraction that
-    re-enforces the embedding constraint against round-off.
-    """
-    if not (h > 0):
-        raise ValueError("step h must be positive")
-    comps = np.asarray(v.comps, dtype=float)
-    if not np.all(np.isfinite(comps)):
-        raise ValueError("velocity must be finite")
-    X = np.asarray(x.coords)[None, :]
-    U = comps[None, :] * h
-    return Point(m.retract(m.exp(X, U))[0])
-
-
 def _hs_norm_pairs(riemann: np.ndarray, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     # M(v1,v2)_{il} = sum_{jk} R[i,j,k,l] v1_j v2_k ; returns |M|_HS per pair
     M = np.einsum("ijkl,pj,pk->pil", riemann, V1, V2)
@@ -737,11 +691,12 @@ def constant_curvature_riemann(d: int, kappa: float) -> np.ndarray:
                     - np.einsum("ik,jl->ijkl", eye, eye))
 
 
-def curvature_package(m: ManifoldModel, x: Point, frame: OrthonormalFrame) -> CurvaturePackage:
-    """All curvature data at x in the given frame.
+def curvature_package(m: ManifoldModel) -> CurvaturePackage:
+    """All curvature data of the model, in any orthonormal frame.
 
-    On the constant-curvature models the covariant derivative quantities
-    (grad Ric# and d*R) vanish identically.
+    The models have constant curvature, so the components are the same at
+    every point and in every orthonormal frame, and the covariant
+    derivative quantities (grad Ric# and d*R) vanish identically.
     """
     d = m.dim
     kappa = m.sectional_curvature
@@ -757,20 +712,6 @@ def curvature_package(m: ManifoldModel, x: Point, frame: OrthonormalFrame) -> Cu
     )
 
 
-def distance_volume(m: ManifoldModel, x: Point, y: Point, r: float):
-    """Geodesic distance rho(x, y), ball volume V(x, r) and V(x, 2r)/V(x, r)."""
-    if not (r > 0):
-        raise ValueError("radius r must be positive")
-    rho = float(m.distance(np.asarray(x.coords)[None, :], np.asarray(y.coords)[None, :])[0])
-    vol = m.ball_volume(r)
-    vol2 = m.ball_volume(2.0 * r)
-    return rho, vol, vol2 / vol
-
-
-def _frame_at(m: ManifoldModel, x: Point) -> OrthonormalFrame:
-    return OrthonormalFrame(x, m.frame(np.asarray(x.coords)[None, :])[0])
-
-
 def commutation_residual(m: ManifoldModel, f: ScalarField, x: Point,
                          h: float = 1e-3) -> float:
     """Residual of the gradient/Laplacian commutation identity at x.
@@ -781,10 +722,9 @@ def commutation_residual(m: ManifoldModel, f: ScalarField, x: Point,
     """
     if not f.has_oracles:
         raise ValueError("commutation residual needs grad/laplacian oracles")
-    fr = _frame_at(m, x)
-    E = fr.vectors  # (d, amb)
     d = m.dim
     X = np.asarray(x.coords)[None, :]
+    E = m.frame(X)[0]  # (d, amb)
 
     def grad_at(P):
         return f.grad_fn(P)
@@ -1140,5 +1080,4 @@ def compact_bump_field(m: ManifoldModel, center: Optional[np.ndarray] = None,
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - q))
         return out
 
-    return ScalarField(f"compact-bump:{r0:g}", ev, None, None, None,
-                       support_radius=r0)
+    return ScalarField(f"compact-bump:{r0:g}", ev, None, None, None)

@@ -35,21 +35,11 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import (
-    Euclidean,
-    Hyperbolic,
-    ManifoldModel,
-    Point,
-    Sphere,
-    TangentVector,
-    Torus,
-)
+from .geometry import Euclidean, Hyperbolic, ManifoldModel, Sphere, Torus
 
 __all__ = [
-    "KernelEval",
     "QuadratureGrid",
     "OracleError",
-    "heat_kernel",
     "kernel_on_grid",
     "kernel_hess_quadrature",
     "quadrature_grid",
@@ -63,28 +53,12 @@ class OracleError(RuntimeError):
 
 
 @dataclass
-class KernelEval:
-    """Heat kernel value and derivatives at (x, y, t).
-
-    ``laplacian_x`` carries the positive-operator sign, so the heat equation
-    reads ``dp_dt = -laplacian_x``.  ``hess_x`` holds frame components.
-    """
-
-    p: float
-    dp_dt: float
-    grad_x: TangentVector
-    laplacian_x: float
-    hess_x: np.ndarray
-
-
-@dataclass
 class QuadratureGrid:
     """Nodes and positive weights integrating against the volume measure."""
 
     nodes: np.ndarray
     weights: np.ndarray
     resolution: tuple
-    model_kind: str
     truncation_radius: Optional[float] = None
     _frames: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -439,7 +413,14 @@ def _frame_contract(frames: np.ndarray, hess_amb: np.ndarray) -> np.ndarray:
 
 def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,
                    frames: Optional[np.ndarray] = None) -> dict:
-    """Kernel fields p, dp_dt, grad, lap, hess for a batch of x at fixed y."""
+    """Kernel fields p, dp_dt, grad, lap, hess for a batch of x at fixed y.
+
+    ``lap`` carries the positive-operator sign, so ``dp_dt = -lap``, and
+    ``hess`` holds components in ``frames`` (by default ``m.frame(X)``).
+    On the sphere ``reliable[i]`` is false where the spectral sum lost
+    relative accuracy to cancellation (x_i near the antipode of y at small
+    t); its truncation at t / a^2 < 1e-4 raises :class:`OracleError`.
+    """
     if not (t > 0):
         raise ValueError("t must be positive")
     X = np.asarray(X, dtype=float)
@@ -492,24 +473,6 @@ def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
     return _frame_contract(frames, acc.reshape(n, amb, amb)), reliable
 
 
-def heat_kernel(m: ManifoldModel, x: Point, y: Point, t: float) -> KernelEval:
-    """Heat kernel density and derivatives at a single (x, y, t)."""
-    X = np.asarray(x.coords)[None, :]
-    fr = m.frame(X)
-    out = kernel_on_grid(m, X, np.asarray(y.coords), t, frames=fr)
-    if "reliable" in out and not bool(out["reliable"][0]):
-        raise OracleError(
-            f"spectral sum lost relative accuracy to cancellation at t = {t:g} "
-            "(point too close to the antipode for this t)")
-    return KernelEval(
-        p=float(out["p"][0]),
-        dp_dt=float(out["dp_dt"][0]),
-        grad_x=TangentVector(x, out["grad"][0]),
-        laplacian_x=float(out["lap"][0]),
-        hess_x=out["hess"][0],
-    )
-
-
 # ---------------------------------------------------------------------------
 # quadrature grids
 
@@ -535,7 +498,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
         grids = np.meshgrid(*([ax] * m.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=1)
         w = np.full(nodes.shape[0], (2.0 * math.pi / resolution) ** m.dim)
-        return QuadratureGrid(nodes, w, (resolution,), m.kind)
+        return QuadratureGrid(nodes, w, (resolution,))
     if isinstance(m, Sphere):
         if m.dim != 2:
             raise OracleError("sphere quadrature implemented for d = 2 only")
@@ -548,7 +511,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
         nodes = a * np.stack([S * np.cos(PHI), S * np.sin(PHI), C], axis=-1)
         nodes = nodes.reshape(-1, 3)
         w = (a * a * 2.0 * math.pi / nphi) * np.repeat(cw, nphi)
-        return QuadratureGrid(nodes, w, (resolution, nphi), m.kind)
+        return QuadratureGrid(nodes, w, (resolution, nphi))
     if isinstance(m, Euclidean):
         L = 10.0
         xn, xw = leggauss(resolution)
@@ -560,7 +523,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
         w = np.ones(nodes.shape[0])
         for g in wgrids:
             w = w * g.ravel()
-        return QuadratureGrid(nodes, w, (resolution,) * m.dim, m.kind,
+        return QuadratureGrid(nodes, w, (resolution,) * m.dim,
                               truncation_radius=L)
     if isinstance(m, Hyperbolic):
         if m.dim != 2:
@@ -607,7 +570,7 @@ def polar_grid(m: ManifoldModel, center: np.ndarray, radius: float,
         sk = math.sqrt(-kappa)
         jac = np.sinh(sk * RAD) / sk
     w = (jac * radw[:, None] * (2.0 * math.pi / n_ang)).ravel()
-    return QuadratureGrid(nodes, w, (n_rad, n_ang), m.kind,
+    return QuadratureGrid(nodes, w, (n_rad, n_ang),
                           truncation_radius=radius)
 
 

@@ -325,8 +325,6 @@ def estimate_pt(m: ManifoldModel, f: ScalarField, x: Point, t: float,
                 chunk_size: int = DEFAULT_CHUNK,
                 threads: Optional[int] = None) -> McEstimate:
     """P_t f(x) as the sample mean of f(X_t)."""
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
 
     def fn(points, frames):
         vals = f.eval_fn(points)
@@ -343,7 +341,10 @@ def estimate_endpoint(m: ManifoldModel, fn, x: Point, t: float, n_paths: int,
                       chunk_size: int = DEFAULT_CHUNK,
                       threads: Optional[int] = None,
                       mode: str = "endpoint") -> McEstimate:
-    """Mean of an arbitrary endpoint functional fn(points, frames)."""
+    """Mean of an arbitrary endpoint functional fn(points, frames), with
+    its standard error; that needs at least two paths (ValueError)."""
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
     n_steps = _check_grid(t, h)
 
     def observe(walk):
@@ -559,7 +560,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w, mode: str, *, t, h,
                 e = None
                 for g in range(live):
                     nd, lo, hi = node[g], bounds[g], bounds[g + 1]
-                    rows = walk.group_step(g, k)
+                    rows = dB[:, lo:hi]
                     dot = -2.0 / nd.t[-1]  # k' before the half step, l' from it
                     if k < nd.half:
                         if e is None:
@@ -571,8 +572,8 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w, mode: str, *, t, h,
             if k < w_steps:
                 qw_dB = np.empty((P, nl))
                 for g in range(live):
-                    np.matmul(node[g].qw[k], walk.group_step(g, k),
-                              out=qw_dB[:, bounds[g]:bounds[g + 1]])
+                    cols = slice(bounds[g], bounds[g + 1])
+                    np.matmul(node[g].qw[k], dB[:, cols], out=qw_dB[:, cols])
                 if live == 1:
                     coef = tables[:, k, :1]
                 else:

@@ -29,8 +29,8 @@ parallel transport.  The curvature process W_t(v, w) has one recursion:
 which may be per path (a walk of several groups) and per (v, w) pair.  Its
 one caller is the Hessian observer of :mod:`mheat.semigroup`, which also
 serves verify's domination check.  Only the curvature-package oracles
-(``*_generic``), which walk one path's recorded increments, compute Q and
-W another way.
+(``*_generic``) compute Q and W another way, W along one path's recorded
+increments.
 
 Randomness is counter based: uniform draw ``j`` of step ``k`` of path ``p``
 sits at a fixed offset in a Philox stream keyed by the 64-bit seed, so any
@@ -47,13 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .geometry import (
-    ManifoldModel,
-    OrthonormalFrame,
-    Point,
-    TangentVector,
-    curvature_package,
-)
+from .geometry import ManifoldModel, Point, TangentVector, curvature_package
 
 __all__ = [
     "damped_transport_generic",
@@ -231,10 +225,11 @@ class ChunkWalk:
     sign-interleaved for antithetic pairs.  A group whose whole draw fits
     in ``_DRAW_BUDGET`` uniforms draws it in one call and keeps it while it
     walks; a larger group draws a few blocks of its streams at a time.  The
-    (n_live, d) increments yielded per step and the (d, n_g) rows of
-    :meth:`group_step` are views of the buffer, valid only until the next
-    step.  ``group_increments`` draws every step again on demand, the
-    reference that tests hold the streamed increments to.
+    (n_live, d) increments yielded per step are a view of the buffer, valid
+    only until the next step; group g's are its rows
+    ``bounds[g]:bounds[g + 1]``.  ``group_increments`` draws every step
+    again on demand, the reference that tests hold the streamed increments
+    to.
     """
 
     def __init__(self, m: ManifoldModel, groups, antithetic: bool = False):
@@ -303,14 +298,6 @@ class ChunkWalk:
         P = np.ascontiguousarray(self._P[:, lo:hi])
         F = np.ascontiguousarray(self._F[..., lo:hi])
         return P.T, F.transpose(2, 0, 1)
-
-    def group_step(self, g: int, k: int) -> np.ndarray:
-        """(d, n_g) increments of group g at step k, a view of the wave
-        buffer: valid from the yield of step k until the next step."""
-        j = k % len(self._buf)
-        if k - j != self._k0:
-            raise ValueError(f"step {k} is not in the wave buffer")
-        return self._buf[j, :, self.bounds[g]:self.bounds[g + 1]]
 
     def _live_groups(self, k: int) -> int:
         """Number of groups that walk step k (steps run in order)."""
@@ -414,26 +401,23 @@ def _grid_steps(t: float, h: float, lo: int = 1, hi: Optional[int] = None) -> in
     return n if hi is None else min(n, hi)
 
 
-def damped_transport_generic(m: ManifoldModel, x0: np.ndarray, frame0: np.ndarray,
-                             increments: np.ndarray, h: float) -> np.ndarray:
-    """Q_t along one path via the per-step matrix exponential of the Ricci
-    operator, transported-frame components, shape (N+1, d, d).
+def damped_transport_generic(m: ManifoldModel, n_steps: int, h: float) -> np.ndarray:
+    """Q_t over ``n_steps`` steps of size ``h`` via the per-step matrix
+    exponential of the Ricci operator, transported-frame components, shape
+    (n_steps + 1, d, d).
 
-    The path starts at ``x0`` (ambient,) with frame ``frame0`` (d, ambient)
-    and takes the N steps of size ``h`` of its (N, d) ``increments``.
     Independent route used as a redundancy oracle for
     :func:`q_decay_factor`: contracts the curvature package instead of the
-    closed-form scalar decay.
+    closed-form scalar decay.  The Ricci operator is the same at every
+    point of a model, so no path enters.
     """
     from scipy.linalg import expm
 
     d = m.dim
-    x = Point(x0)
-    out = np.empty((len(increments) + 1, d, d))
+    out = np.empty((n_steps + 1, d, d))
     out[0] = np.eye(d)
-    pkg = curvature_package(m, x, OrthonormalFrame(x, frame0))
-    step_mat = expm(-h * pkg.ricci)  # Ricci is position independent on models
-    for k in range(len(increments)):
+    step_mat = expm(-h * curvature_package(m).ricci)
+    for k in range(n_steps):
         out[k + 1] = step_mat @ out[k]
     return out
 
@@ -458,13 +442,14 @@ def w_update(m: ManifoldModel, W: np.ndarray, dB: np.ndarray, qv: np.ndarray,
     return damp * W + kappa * (qvw * dB - qv * qw_dB)
 
 
-def w_process_generic(m: ManifoldModel, x0: np.ndarray, frame0: np.ndarray,
-                      increments: np.ndarray, h: float, q: np.ndarray,
-                      v: TangentVector, w: TangentVector) -> np.ndarray:
+def w_process_generic(m: ManifoldModel, x0: np.ndarray, increments: np.ndarray,
+                      h: float, q: np.ndarray, v: TangentVector,
+                      w: TangentVector) -> np.ndarray:
     """W_t(v, w) along one path with all curvature action read from the
     curvature package, components in the transported frame, (N+1, d).
 
-    The path is given as for :func:`damped_transport_generic`, ``q`` is its
+    The path starts at ``x0`` (ambient,) and takes the N steps of size
+    ``h`` of its (N, d) frame-coordinate ``increments``; ``q`` is its
     (N+1, d, d) damped transport and v, w are tangent vectors at x0.  Ito
     recursion with left-point curvature action and exact-exponential Ricci
     damping:
@@ -478,11 +463,10 @@ def w_process_generic(m: ManifoldModel, x0: np.ndarray, frame0: np.ndarray,
     from scipy.linalg import expm
 
     d = m.dim
-    x = Point(x0)
-    pkg = curvature_package(m, x, OrthonormalFrame(x, frame0))
+    pkg = curvature_package(m)
     drift3 = pkg.dstar_r + pkg.ricci_sharp_grad
     damp = expm(-h * pkg.ricci)
-    vbar, wbar = _vw_components(m, x, v, w)
+    vbar, wbar = _vw_components(m, Point(x0), v, w)
     out = np.zeros((len(increments) + 1, d))
     for k, dB in enumerate(increments):
         qv, qw = q[k] @ vbar, q[k] @ wbar

@@ -38,7 +38,6 @@ from .geometry import (
     ScalarField,
     Sphere,
     Torus,
-    _frame_at,
     compact_bump_field,
     const_field,
     curvature_package,
@@ -170,17 +169,14 @@ class KatoResult:
 def curvature_squared_potential(m: ManifoldModel) -> ScalarField:
     """|R|^2 as a potential; constant on model spaces, read off the
     curvature package rather than hard-coded."""
-    x = Point(m.base_point())
-    pkg = curvature_package(m, x, _frame_at(m, x))
-    f = const_field(m, pkg.r_opnorm ** 2)
+    f = const_field(m, curvature_package(m).r_opnorm ** 2)
     f.name = "curvature-r2"
     return f
 
 
 def ric_grad_squared_potential(m: ManifoldModel) -> ScalarField:
     """|grad Ric# + d*R|^2; identically zero on constant-curvature models."""
-    x = Point(m.base_point())
-    pkg = curvature_package(m, x, _frame_at(m, x))
+    pkg = curvature_package(m)
     mag = float(np.sum((pkg.ricci_sharp_grad + pkg.dstar_r) ** 2))
     f = const_field(m, mag)
     f.name = "ricgrad-r2"
@@ -432,9 +428,9 @@ def check_weighted_l2(m: ManifoldModel, cfg: BoundCheckConfig):
 # ---------------------------------------------------------------------------
 # Gaffney off-diagonal decay
 
-def _gaffney_scan(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
-                  centerE: np.ndarray, antipode: np.ndarray, radius: float,
-                  t_grid: np.ndarray, n_rad: int, n_ang: int):
+def _gaffney_scan(m: ManifoldModel, p: float, centerE: np.ndarray,
+                  antipode: np.ndarray, radius: float, t_grid: np.ndarray,
+                  n_rad: int, n_ang: int):
     K = m.ricci_lower_bound
     theta = default_theta(m)
     f = compact_bump_field(m, center=centerE, r0=radius)
@@ -503,8 +499,8 @@ def check_gaffney(m: ManifoldModel, cfg: BoundCheckConfig, p: float,
     """
     centerE, antipode = _gaffney_caps(m, p, cap_radius, centerE)
     t_grid = cfg.t_grid
-    base = _gaffney_scan(m, cfg, p, centerE, antipode, cap_radius, t_grid, 12, 20)
-    fine = _gaffney_scan(m, cfg, p, centerE, antipode, cap_radius, t_grid, 18, 30)
+    base = _gaffney_scan(m, p, centerE, antipode, cap_radius, t_grid, 12, 20)
+    fine = _gaffney_scan(m, p, centerE, antipode, cap_radius, t_grid, 18, 30)
     norms, denom, ratios, c4_fit, c4_used, rho_ef, reliable = base
     # decay toward t -> 0: below the peak the ratio must shrink with t;
     # unreliable t-nodes leave the monotonicity test and the maximum
@@ -948,7 +944,8 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
 
     The scan is exact spectral only: the family must be band-limited
     trigonometric polynomials on a torus or spherical polynomials on the
-    unit 2-sphere.
+    unit 2-sphere.  The torus Bochner residual is for the 2-torus, so p = 2
+    on another torus is a ValueError, raised before the scan.
 
     Memory: on the sphere the scan holds the harmonic tables plus one block
     of 32 fields (the remainder joins the last block), and reduces each block
@@ -965,6 +962,9 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
     if kind == "sphere" and not (isinstance(m, Sphere) and m.dim == 2
                                  and m.radius == 1.0):
         raise ValueError("sphere family needs the unit 2-sphere")
+    if kind == "torus" and p == 2.0 and m.dim != 2:
+        raise ValueError("p = 2 on the torus needs dim 2: the Bochner "
+                         "residual is implemented for the 2-torus")
     if grid_resolution is None:
         grid_resolution = 64 if kind == "torus" else 28
     grid = quadrature_grid(m, grid_resolution)

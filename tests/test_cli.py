@@ -587,6 +587,20 @@ def test_odd_path_count_runs_without_antithetic(tmp_path):
     assert run_config(cfg).exit_status == 0
 
 
+@pytest.mark.parametrize("check", ["kato", "semigroup-bounds", "gaffney"])
+def test_verify_ignores_exponents_its_check_does_not_read(tmp_path, check):
+    # alpha = 0.3 is outside (0, 1/4), but only kernel-bounds and
+    # weighted-l2 read the exponents
+    out = tmp_path / "out"
+    cfg = write(tmp_path, PATH_COUNT_CFG.format(
+        kind="verify", n_paths=1000, out=out,
+        params=f'check = "{check}"\nalpha = 0.3\nt_list = [0.1, 0.2]'))
+    load_config(cfg)
+    if check == "kato":
+        assert run_config(cfg).exit_status == 0
+        assert (out / "summary.json").exists()
+
+
 PARAM_CFG = """kind = "{kind}"
 {top}
 n_paths = 1000

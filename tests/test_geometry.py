@@ -9,19 +9,15 @@ from mheat.geometry import (
     CurvaturePackage,
     Euclidean,
     Hyperbolic,
-    OrthonormalFrame,
     Point,
     Sphere,
-    TangentVector,
     Torus,
     commutation_residual,
     compact_bump_field,
     coordinate_field,
     curvature_package,
-    distance_volume,
     field_consistency_error,
     gaussian_bump_field,
-    geodesic_step,
     make_manifold,
     norm_squared_field,
     sin_coordinate_field,
@@ -44,33 +40,28 @@ def rng():
     return np.random.Generator(np.random.Philox(key=7))
 
 
-def frame_at(m, x):
-    return OrthonormalFrame(x, m.frame(np.asarray(x.coords)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # curvature package
 
 @pytest.mark.parametrize("m", MODELS, ids=lambda m: m.describe())
 def test_curvature_tensor_identities(m):
-    X = m.random_points(rng(), 100)
+    # the package is the model's: constant curvature, one set of components
     d = m.dim
     kappa = m.sectional_curvature
-    for i in range(0, 100, 11):
-        x = Point(X[i])
-        pkg = curvature_package(m, x, frame_at(m, x))
-        R = pkg.riemann
-        assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < 1e-10
-        assert np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) < 1e-10
-        ric = np.einsum("ijli->jl", R)
-        assert np.max(np.abs(ric - pkg.ricci)) < 1e-10
-        # constant-curvature closed form
-        eye = np.eye(d)
-        closed = kappa * (np.einsum("jk,il->ijkl", eye, eye)
-                          - np.einsum("ik,jl->ijkl", eye, eye))
-        assert np.max(np.abs(R - closed)) < 1e-10
-        assert np.max(np.abs(pkg.ricci_sharp_grad)) < 1e-10
-        assert np.max(np.abs(pkg.dstar_r)) < 1e-10
+    pkg = curvature_package(m)
+    assert isinstance(pkg, CurvaturePackage)
+    R = pkg.riemann
+    assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < 1e-10
+    assert np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) < 1e-10
+    ric = np.einsum("ijli->jl", R)
+    assert np.max(np.abs(ric - pkg.ricci)) < 1e-10
+    # constant-curvature closed form
+    eye = np.eye(d)
+    closed = kappa * (np.einsum("jk,il->ijkl", eye, eye)
+                      - np.einsum("ik,jl->ijkl", eye, eye))
+    assert np.max(np.abs(R - closed)) < 1e-10
+    assert np.max(np.abs(pkg.ricci_sharp_grad)) < 1e-10
+    assert np.max(np.abs(pkg.dstar_r)) < 1e-10
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -81,16 +72,14 @@ def test_curvature_tensor_identities(m):
     (Hyperbolic(3, 1.0), math.sqrt(2.0)),
 ])
 def test_r_opnorm_constant_curvature(m, expected):
-    x = Point(m.base_point())
-    pkg = curvature_package(m, x, frame_at(m, x))
+    pkg = curvature_package(m)
     assert pkg.r_opnorm == pytest.approx(expected, abs=1e-9)
     assert m.curvature_opnorm() == pytest.approx(expected, abs=1e-12)
 
 
 def test_ricci_lower_bound_attained():
     for m in MODELS:
-        x = Point(m.base_point())
-        pkg = curvature_package(m, x, frame_at(m, x))
+        pkg = curvature_package(m)
         lo = np.min(np.linalg.eigvalsh(pkg.ricci))
         assert lo >= -m.ricci_lower_bound - 1e-12
         if m.kind == "hyperbolic":
@@ -102,36 +91,32 @@ def test_ricci_lower_bound_attained():
 
 def test_geodesic_step_euclidean_line():
     m = Euclidean(2)
-    x = Point([0.0, 0.0])
-    v = TangentVector(x, [1.0, 0.0])
-    y = geodesic_step(m, x, v, 0.5)
-    assert np.allclose(y.coords, [0.5, 0.0])
+    X = np.array([[0.0, 0.0]])
+    U = np.array([[1.0, 0.0]])
+    Y = m.retract(m.exp(X, 0.5 * U))
+    assert np.allclose(Y[0], [0.5, 0.0])
 
 
 def test_geodesic_step_sphere_quarter_circle():
     m = Sphere(2, 1.0)
-    x = Point([0.0, 0.0, 1.0])
-    v = TangentVector(x, [1.0, 0.0, 0.0])
-    y = geodesic_step(m, x, v, math.pi / 2)
-    rho = m.distance(np.asarray(x.coords)[None], np.asarray(y.coords)[None])[0]
+    X = np.array([[0.0, 0.0, 1.0]])
+    U = np.array([[1.0, 0.0, 0.0]])
+    Y = m.retract(m.exp(X, math.pi / 2 * U))
+    rho = m.distance(X, Y)[0]
     assert abs(rho - math.pi / 2) < 1e-8
-    assert abs(y.coords[2]) < 1e-12
+    assert abs(Y[0, 2]) < 1e-12
 
 
 def test_geodesic_step_hyperbolic_accumulated_length():
     m = Hyperbolic(2, 1.0)
-    x = Point(m.base_point())
-    start = np.asarray(x.coords)[None, :]
-    u = m.frame(start)[0][0]
-    cur = x
-    direction = u
+    start = m.base_point()[None, :]
+    cur = start
+    direction = m.frame(start)[0][:1]
     for _ in range(200):
-        v = TangentVector(cur, direction)
-        nxt = geodesic_step(m, cur, v, 0.01)
-        direction = m.transport(np.asarray(cur.coords)[None],
-                                0.01 * direction[None], direction[None])[0]
+        nxt = m.retract(m.exp(cur, 0.01 * direction))
+        direction = m.transport(cur, 0.01 * direction, direction)
         cur = nxt
-    rho = m.distance(start, np.asarray(cur.coords)[None])[0]
+    rho = m.distance(start, cur)[0]
     assert abs(rho - 2.0) < 1e-4
 
 
@@ -169,36 +154,24 @@ def _sgn(m):
     return s[None, None, :]
 
 
-def test_geodesic_step_rejects_bad_input():
-    m = Euclidean(2)
-    x = Point([0.0, 0.0])
-    v = TangentVector(x, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        geodesic_step(m, x, v, 0.0)
-    with pytest.raises(ValueError):
-        geodesic_step(m, x, v, -0.1)
-    with pytest.raises(ValueError):
-        geodesic_step(m, x, TangentVector(x, [np.inf, 0.0]), 0.1)
-
-
 # ---------------------------------------------------------------------------
 # distance / volume / doubling
 
 def test_distance_volume_examples():
     m = Euclidean(2)
-    rho, vol, ratio = distance_volume(m, Point([0.3, -1.0]), Point([1.3, -1.0]), 1.0)
+    rho = m.distance(np.array([[0.3, -1.0]]), np.array([[1.3, -1.0]]))[0]
+    vol = m.ball_volume(1.0)
     assert rho == pytest.approx(1.0)
     assert vol == pytest.approx(math.pi)
-    assert ratio == pytest.approx(4.0)
+    assert m.ball_volume(2.0) / vol == pytest.approx(4.0)
 
     s = Sphere(2, 1.0)
-    _, vol, _ = distance_volume(s, Point(s.base_point()), Point(s.base_point()), math.pi)
-    assert vol == pytest.approx(4.0 * math.pi)
-    _, vol2, _ = distance_volume(s, Point(s.base_point()), Point(s.base_point()), 10.0)
-    assert vol2 == pytest.approx(4.0 * math.pi)
+    assert s.ball_volume(math.pi) == pytest.approx(4.0 * math.pi)
+    # V(x, 2r) of a radius r = 10 clips at the whole sphere
+    assert s.ball_volume(20.0) == pytest.approx(4.0 * math.pi)
 
     hyp = Hyperbolic(2, 1.0)
-    _, vol, _ = distance_volume(hyp, Point(hyp.base_point()), Point(hyp.base_point()), 1.0)
+    vol = hyp.ball_volume(1.0)
     # quadrature oracle: integral of 2 pi sinh(s) over [0, 1]
     from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(60)
@@ -211,7 +184,7 @@ def test_distance_volume_examples():
 def test_doubling_ratio_bounds():
     for r in [0.25, 0.5, 1.0]:
         for m in MODELS:
-            _, _, ratio = distance_volume(m, Point(m.base_point()), Point(m.base_point()), r)
+            ratio = m.ball_volume(2.0 * r) / m.ball_volume(r)
             if m.kind in ("euclidean", "torus") and 2 * r <= math.pi:
                 assert ratio == pytest.approx(2.0 ** m.dim, rel=1e-12)
             elif m.kind == "sphere":
@@ -223,9 +196,9 @@ def test_doubling_ratio_bounds():
 
 def test_torus_distance_wraps():
     m = Torus(2)
-    x = Point([0.1, 0.0])
-    y = Point([2.0 * math.pi - 0.1, 0.0])
-    rho, _, _ = distance_volume(m, x, y, 0.5)
+    X = np.array([[0.1, 0.0]])
+    Y = np.array([[2.0 * math.pi - 0.1, 0.0]])
+    rho = m.distance(X, Y)[0]
     assert rho == pytest.approx(0.2, abs=1e-12)
 
 
@@ -259,10 +232,10 @@ def test_field_oracles_match_finite_differences(m, make):
 def test_sphere_coordinate_field_values():
     m = Sphere(2, 1.0)
     f = coordinate_field(m, axis=2)
-    x = Point(m.base_point())
-    assert f.eval(x) == pytest.approx(1.0)
-    assert f.laplacian(x) == pytest.approx(2.0)  # positive-operator eigenvalue
-    H = f.hess(x, frame_at(m, x))
+    X = m.base_point()[None, :]
+    assert f.eval_fn(X)[0] == pytest.approx(1.0)
+    assert f.laplacian_fn(X)[0] == pytest.approx(2.0)  # positive-operator eigenvalue
+    H = f.hess_fn(X, m.frame(X))[0]
     assert np.allclose(H, -np.eye(2), atol=1e-12)
 
 

@@ -61,7 +61,7 @@ def _tables_loop(grid, lmax):
 
 def _random_node_grid(n, seed):
     X = S2.random_points(np.random.default_rng(seed), n)
-    return QuadratureGrid(X, np.full(n, 4.0 * math.pi / n), (n,), S2.kind)
+    return QuadratureGrid(X, np.full(n, 4.0 * math.pi / n), (n,))
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 2, 6, 10])

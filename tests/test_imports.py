@@ -64,3 +64,20 @@ def test_public_names_resolve():
     for name in ("kdot", "ldot", "validate_profiles"):
         assert not hasattr(mheat.HessianEstimatorConfig, name), name
     assert "half_width" not in inspect.signature(mheat.quadrature_grid).parameters
+    # no per-point wrappers: kernels, steps, distances and volumes and field
+    # oracles are the batched calls, and the curvature package reads only
+    # its model
+    for module, names in [
+            (mheat.oracle, ("KernelEval", "heat_kernel")),
+            (mheat.geometry, ("geodesic_step", "distance_volume",
+                              "OrthonormalFrame", "_frame_at"))]:
+        for name in names:
+            assert not hasattr(mheat, name), name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in ("eval", "grad", "hess", "laplacian", "support_radius"):
+        assert not hasattr(mheat.ScalarField, name), name
+    assert "support_radius" not in inspect.signature(mheat.ScalarField).parameters
+    assert "model_kind" not in inspect.signature(mheat.QuadratureGrid).parameters
+    assert not hasattr(mheat.transport.ChunkWalk, "group_step")
+    assert list(inspect.signature(mheat.curvature_package).parameters) == ["m"]
+    assert len(mheat.__all__) == 31

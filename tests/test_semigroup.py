@@ -93,7 +93,7 @@ def test_pt_sphere_eigenfunction():
     x = Point(m.retract(np.array([[0.3, 0.2, 0.9]]))[0])
     t = 0.5
     est = estimate_pt(m, f, x, t, n_paths=20000, h=t / 200, seed=11)
-    exact = math.exp(-2 * t) * f.eval(x)
+    exact = math.exp(-2 * t) * f.eval_fn(np.asarray(x.coords)[None, :])[0]
     assert abs(est.scalar - exact) <= 3 * est.scalar_stderr + 0.01 * abs(exact)
 
 
@@ -227,7 +227,7 @@ def test_hess_sphere_eigenfunction_mixed():
     v = tv(m, x, [1, 0])
     est = estimate_hess(m, f, x, v, v, t, mode="mixed", n_paths=40000,
                         h=t / 200, seed=33)
-    exact = -math.exp(-2 * t) * f.eval(x)
+    exact = -math.exp(-2 * t) * f.eval_fn(np.asarray(x.coords)[None, :])[0]
     assert abs(est.scalar - exact) <= 3 * est.scalar_stderr + 0.01 * abs(exact)
 
 
@@ -239,7 +239,7 @@ def test_hess_sphere_eigenfunction_bismut():
     v = tv(m, x, [1, 0])
     est = estimate_hess(m, f, x, v, v, t, mode="bismut", n_paths=60000,
                         h=t / 100, seed=34)
-    exact = -math.exp(-2 * t) * f.eval(x)
+    exact = -math.exp(-2 * t) * f.eval_fn(np.asarray(x.coords)[None, :])[0]
     assert abs(est.scalar - exact) <= 3 * est.scalar_stderr + 0.01 * abs(exact)
 
 
@@ -314,7 +314,7 @@ def test_green_sphere_spectral_resolvent():
     v = tv(m, x, [1, 0])
     cfg = HessianEstimatorConfig(sigma=2.0)
     est = estimate_green_hess(m, f, x, v, v, cfg, n_paths=4000, h=0.01, seed=42)
-    exact = -f.eval(x) / (2.0 + 2.0)
+    exact = -f.eval_fn(np.asarray(x.coords)[None, :])[0] / (2.0 + 2.0)
     assert abs(est.scalar - exact) <= 3 * est.scalar_stderr + est.qtol + 0.02 * abs(exact)
 
 
@@ -385,3 +385,15 @@ def test_antithetic_requires_even_paths():
     f = norm_squared_field(m)
     with pytest.raises(ValueError):
         estimate_pt(m, f, Point([0.0]), 0.2, n_paths=101, h=0.002, seed=1)
+
+
+@pytest.mark.parametrize("op", ["pt", "grad"])
+def test_endpoint_estimators_need_two_paths(op):
+    # one path has no standard error; every endpoint estimator says so
+    m = Euclidean(2)
+    f = norm_squared_field(m)
+    x = Point([0.0, 0.0])
+    args = (f, x, 0.2) if op == "pt" else (f, x, tv(m, x, [1, 0]), 0.2)
+    estimate = estimate_pt if op == "pt" else estimate_grad
+    with pytest.raises(ValueError, match="at least two paths"):
+        estimate(m, *args, n_paths=1, h=0.02, seed=1, antithetic=False)

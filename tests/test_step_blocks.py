@@ -1,9 +1,9 @@
 """Walk increments arrive in step blocks through one reused wave buffer.
 
-Every row a walk yields (``steps()`` and ``group_step``) must be bitwise the
-matching slice of the group's whole ``increment_block``, whichever route
-drew it: one contiguous call for a group within the draw budget, or
-re-anchored runs of each path's stream for a larger one.  The walk's memory
+Every row a walk yields from ``steps()`` must be bitwise the matching slice
+of the group's whole ``increment_block``, whichever route drew it: one
+contiguous call for a group within the draw budget, or re-anchored runs of
+each path's stream for a larger one.  The walk's memory
 must not grow with the horizon once a group is over the budget.
 """
 
@@ -47,7 +47,6 @@ def _check_rows(walk, d, antithetic, budget):
             for g in live:
                 lo, hi = walk.bounds[g], walk.bounds[g + 1]
                 assert np.array_equal(dB[lo:hi].T, expected[g][k])
-                assert np.array_equal(walk.group_step(g, k), expected[g][k])
     for inc, exp in zip(walk.group_increments, expected):
         assert np.array_equal(inc, exp)
 
@@ -121,12 +120,7 @@ def test_group_within_the_budget_draws_once():
     assert _spans(spy) == [(0, None)]
 
 
-def test_group_step_outside_the_buffer_raises():
-    walk = ChunkWalk(Euclidean(2), [WalkGroup(11, 1.0, 100, 0, 9, x0=np.zeros(2))])
-    steps = walk.steps()
-    next(steps)
-    with pytest.raises(ValueError, match="wave buffer"):
-        walk.group_step(0, B)
+def test_step_range_outside_the_walk_raises():
     with pytest.raises(ValueError, match="step range"):
         increment_block(11, 100, 2, 0.01, 0, 9, 50, 50)
 

@@ -253,7 +253,7 @@ def test_kato_curvature_potential_sphere():
         assert row["functional"] == pytest.approx(row["t"], rel=1e-12)
     assert res.theta_fit == pytest.approx(1.0, rel=1e-9)
     zero = ric_grad_squared_potential(m)
-    assert zero.eval(Point(m.base_point())) == 0.0
+    assert zero.eval_fn(m.base_point()[None, :])[0] == 0.0
 
 
 def test_kato_step_longer_than_horizon_walks_one_step():
@@ -312,6 +312,21 @@ def test_cz_scan_rejects_bad_input():
         cz_scan(m, fam, p=1.0, sigma=1.0)
     with pytest.raises(ValueError):
         cz_scan(Sphere(2, 1.0), fam, p=2.0, sigma=1.0)
+
+
+def test_cz_scan_torus3_p2_fails_before_the_scan():
+    # the Bochner residual is for the 2-torus: p = 2 on T^3 is rejected with
+    # the other input checks, before any node values are computed
+    from unittest import mock
+
+    from mheat import verify
+
+    m = Torus(3)
+    fam = random_trig_polynomials(m, 2, 8, rng())
+    with mock.patch.object(verify, "_torus_scan_arrays") as scan:
+        with pytest.raises(ValueError, match="2-torus"):
+            cz_scan(m, fam, p=2.0, sigma=1.0)
+    scan.assert_not_called()
 
 
 def test_cz_scan_torus3_memory_is_blocked():
