@@ -16,9 +16,10 @@ of them through :mod:`mheat.semigroup`; ``--threads`` leaves payloads as is.
 Exit codes: 0 all checks passed or were inconclusive within their declared
 tolerances, 1 at least one check failed, 2 configuration error.  Every
 parameter error is found before the run (``load_config`` builds the run's
-inputs), so it exits 2 and writes no outputs.  A key a config leaves out
-takes the default of the library function it goes to; ``mode`` (bismut |
-mixed) applies to the ``hess`` and ``green-hess`` estimates.
+inputs), so it exits 2 and writes no outputs.  A key's rules and defaults
+are those of the library function it goes to, whose validators the plan
+calls: a config gets a library caller's error, which names the key first.
+``mode`` (bismut | mixed) applies to the ``hess`` and ``green-hess`` estimates.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ from .geometry import (
 )
 from .semigroup import (
     HessianEstimatorConfig,
+    _even_paths,
     _green_horizon,
+    _hess_mode,
     _require_oracles,
     _walk_chunks,
     estimate_grad,
@@ -71,14 +74,17 @@ from .semigroup import (
     estimate_hess,
     estimate_pt,
 )
-from .spectral import random_spherical_polynomials, random_trig_polynomials
+from .spectral import _family_rules, random_spherical_polynomials, random_trig_polynomials
 from .transport import _grid_steps, q_decay_factor
 from .verify import (
-    MIN_STAT_PATHS,
     BoundCheckConfig,
     BoundReport,
+    _cz_inputs,
+    _family_sizes,
     _gaffney_caps,
+    _horizons,
     _kato_grid,
+    _stat_paths,
     check_gaffney,
     check_kernel_bounds,
     check_semigroup_bounds,
@@ -222,6 +228,8 @@ def _param(p: dict, key: str, conv, default=None):
     try:
         return conv(p[key])
     except (TypeError, ValueError) as exc:
+        if str(exc).startswith(f"{key} = "):
+            raise
         raise ValueError(f"{key} = {p[key]!r}: {exc}") from exc
 
 
@@ -240,20 +248,6 @@ def _positive(spec) -> float:
     if value <= 0:
         raise ValueError("must be positive")
     return value
-
-
-def _times(spec) -> list:
-    t_list = [float(t) for t in spec]
-    if not t_list or min(t_list) <= 0:
-        raise ValueError("must be a non-empty list of positive times")
-    return t_list
-
-
-def _sizes(spec) -> list:
-    sizes = [int(n) for n in spec] if isinstance(spec, list) else []
-    if not sizes or min(sizes) < 1:
-        raise ValueError("must be a non-empty list of positive sizes")
-    return sizes
 
 
 def _grid_from_spec(spec) -> np.ndarray:
@@ -440,9 +434,9 @@ def _tangent_from(m: ManifoldModel, x: Point, p: dict, key: str,
     return TangentVector(x, np.einsum("d,da->a", coef, F))
 
 
-# Each runner reads, converts and checks every key its kind uses and builds
-# its cheap inputs (ValueError or TypeError on a bad parameter), then returns
-# the call that does the work and returns (tables, verdicts).
+# Each runner reads and converts every key its kind uses, checks it with the
+# library's validators and builds its cheap inputs (ValueError or TypeError),
+# then returns the call that does the work and returns (tables, verdicts).
 
 def _run_simulate(m: ManifoldModel, cfg: ExperimentConfig):
     p = cfg.params
@@ -487,9 +481,7 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
     x = _point_from(m, p, "point")
     t = _param(p, "t", _positive, 0.5)
     antithetic = _param(p, "antithetic", bool, True)
-    if antithetic and cfg.n_paths % 2:
-        raise ValueError("n_paths must be even for antithetic estimation "
-                         "(set antithetic = false for an odd count)")
+    _even_paths(cfg.n_paths, antithetic)
     # Green walks each of its quadrature nodes on the grid of step h itself
     h = cfg.h if op == "green-hess" else t / _grid_steps(t, cfg.h, lo=2)
     common = dict(n_paths=cfg.n_paths, h=h, seed=cfg.seed,
@@ -503,10 +495,9 @@ def _run_estimate(m: ManifoldModel, cfg: ExperimentConfig):
     else:
         v = _tangent_from(m, x, p, "v")
         w = _tangent_from(m, x, p, "w", default_axis=min(1, m.dim - 1))
-        if p.get("mode") not in (None, "bismut", "mixed"):
-            raise ValueError("mode must be bismut | mixed")
-        _require_oracles(f, p.get("mode"))
         common.update(_kwargs(p, mode=str))
+        if "mode" in common:
+            _hess_mode(f, common["mode"])
         if op == "hess":
             estimate = lambda: estimate_hess(m, f, x, v, w, t, **common)
         else:
@@ -534,9 +525,8 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
     if check not in CHECK_REGISTRY or check == "czscan":
         raise ValueError(
             f"check must be one of {sorted(k for k in CHECK_REGISTRY if k != 'czscan')}")
-    if check in ("semigroup-bounds", "kato") and cfg.n_paths < MIN_STAT_PATHS:
-        raise ValueError(f"n_paths must be at least {MIN_STAT_PATHS} "
-                         f"for the statistical check {check!r}")
+    if check in ("semigroup-bounds", "kato"):
+        _stat_paths(cfg.n_paths)
     # each check's BoundCheckConfig takes only the keys that check reads
     if check in ("kernel-bounds", "weighted-l2"):
         bc = BoundCheckConfig(h=cfg.h, **_kwargs(
@@ -557,14 +547,14 @@ def _run_verify(m: ManifoldModel, cfg: ExperimentConfig):
     elif check == "semigroup-bounds":
         f = make_field(m, p.get("field", "gauss-bump"), p.get("field_params"))
         _require_oracles(f, "mixed")
-        opts = _kwargs(p, t_list=_times)
+        opts = _kwargs(p, t_list=_horizons)
         reports = lambda: check_semigroup_bounds(
             m, f, BoundCheckConfig(h=cfg.h), n_paths=cfg.n_paths, seed=cfg.seed,
             threads=cfg.threads, **opts)
     else:
         pot = make_potential(m, p.get("potential", "const"),
                              p.get("potential_params"))
-        t_list = _param(p, "t_list", _times, [0.1 * k for k in range(1, 11)])
+        t_list = _param(p, "t_list", _horizons, [0.1 * k for k in range(1, 11)])
         _kato_grid(t_list, cfg.h)
         x = _point_from(m, p, "point")
 
@@ -589,32 +579,17 @@ def _run_czscan(m: ManifoldModel, cfg: ExperimentConfig):
     pval = _param(p, "p", float, 2.0)
     sigma = _param(p, "sigma", float, 1.0)
     degree = _param(p, "degree", int, 8)
-    sizes = _param(p, "family_sizes", _sizes, [50, 200])
+    sizes = _param(p, "family_sizes", _family_sizes, [50, 200])
     resolution = _param(p, "grid_resolution", int)
-    if pval <= 1:
-        raise ValueError("p must exceed 1 for czscan")
-    if m.kind not in ("torus", "sphere"):
-        raise ValueError("czscan runs on the torus or the unit sphere")
-    if m.kind == "sphere" and m.dim != 2:
-        raise ValueError("dim must be 2 for czscan on the sphere")
-    if m.kind == "sphere" and m.radius != 1.0:
-        raise ValueError("radius must be 1 for czscan on the sphere")
-    if m.kind == "torus" and m.dim != 2 and pval == 2.0:
-        raise ValueError("dim must be 2 for czscan on the torus at p = 2 "
-                         "(its Bochner residual is for the 2-torus)")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if resolution is not None and resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
+    family = (random_trig_polynomials if _cz_inputs(m, pval, resolution) == "torus"
+              else random_spherical_polynomials)
+    _family_rules(m, degree)
     if cfg.seed < 0:
         raise ValueError("seed must be non-negative for czscan")
 
     def run():
         g = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-        if m.kind == "torus":
-            fam = random_trig_polynomials(m, degree, max(sizes), g)
-        else:
-            fam = random_spherical_polynomials(m, degree, max(sizes), g)
+        fam = family(m, degree, max(sizes), g)
         rep = cz_scan(m, fam, p=pval, sigma=sigma, family_sizes=sizes,
                       grid_resolution=resolution)
         return {rep.inequality_id: _report_to_table(rep)}, [_verdict(rep)]

@@ -207,11 +207,12 @@ class ManifoldModel:
         K >= 0 with Ric >= -K; equality holds on hyperbolic models.
     """
 
-    kind: str
-    dim: int
-    ambient_dim: int
-    sectional_curvature: float
-    ricci_lower_bound: float
+    def __init__(self, kind: str, dim: int, ambient_dim: int):
+        """The attributes of a flat model; curved ones then set theirs."""
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        self.kind, self.dim, self.ambient_dim = kind, dim, ambient_dim
+        self.sectional_curvature = self.ricci_lower_bound = 0.0
 
     # -- embedding ---------------------------------------------------------
     def retract(self, X: np.ndarray) -> np.ndarray:
@@ -291,13 +292,7 @@ class ManifoldModel:
 
 class Euclidean(ManifoldModel):
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.kind = "euclidean"
-        self.dim = dim
-        self.ambient_dim = dim
-        self.sectional_curvature = 0.0
-        self.ricci_lower_bound = 0.0
+        super().__init__("euclidean", dim, dim)
 
     def retract(self, X):
         return X
@@ -341,13 +336,7 @@ class Torus(ManifoldModel):
     """Flat torus (R / 2 pi Z)^d with the quotient metric."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.kind = "torus"
-        self.dim = dim
-        self.ambient_dim = dim
-        self.sectional_curvature = 0.0
-        self.ricci_lower_bound = 0.0
+        super().__init__("torus", dim, dim)
 
     def retract(self, X):
         return np.mod(X, 2.0 * math.pi)
@@ -417,16 +406,11 @@ class Sphere(ManifoldModel):
     """Round sphere of radius a in R^{d+1}; curvature 1/a^2."""
 
     def __init__(self, dim: int, radius: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        super().__init__("sphere", dim, dim + 1)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        self.kind = "sphere"
-        self.dim = dim
-        self.ambient_dim = dim + 1
         self.radius = radius
         self.sectional_curvature = 1.0 / radius ** 2
-        self.ricci_lower_bound = 0.0
 
     def retract(self, X):
         return self.radius * X / np.linalg.norm(X, axis=-1, keepdims=True)
@@ -522,13 +506,9 @@ class Hyperbolic(ManifoldModel):
     """
 
     def __init__(self, dim: int, curvature_scale: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        super().__init__("hyperbolic", dim, dim + 1)
         if curvature_scale <= 0:
             raise ValueError("curvature scale must be positive")
-        self.kind = "hyperbolic"
-        self.dim = dim
-        self.ambient_dim = dim + 1
         self.scale = curvature_scale
         self.sectional_curvature = -curvature_scale ** 2
         self.ricci_lower_bound = (dim - 1) * curvature_scale ** 2

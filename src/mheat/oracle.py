@@ -77,8 +77,8 @@ class QuadratureGrid:
 # Each core takes broadcast (x, y) pairs, arrays of shape (..., ambient),
 # and returns the kernel fields with the Hessian as an ambient
 # (..., ambient, ambient) matrix; callers contract it with tangent frames.
-# ``full=False`` returns only the Hessian (and the sphere's reliability
-# flag), which is all the source-batched quadrature needs.
+# ``full=False`` returns only the Hessian and the per-pair ``reliable`` flag,
+# false only where the sphere's sum cancels: all the quadrature needs.
 
 def _euclidean_fields(m: Euclidean, X, Y, t, full=True):
     d = m.dim
@@ -87,11 +87,12 @@ def _euclidean_fields(m: Euclidean, X, Y, t, full=True):
     p = (4.0 * math.pi * t) ** (-d / 2) * np.exp(-rho2 / (4.0 * t))
     hess = p[..., None, None] * (D[..., :, None] * D[..., None, :] / (4.0 * t * t)
                                  - np.eye(d) / (2.0 * t))
+    out = {"hess": hess, "reliable": np.ones(p.shape, dtype=bool)}
     if not full:
-        return {"hess": hess}
-    grad = -p[..., None] * D / (2.0 * t)
+        return out
     lap_geo = p * (rho2 / (4.0 * t * t) - d / (2.0 * t))
-    return {"p": p, "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo, "hess": hess}
+    return {**out, "p": p, "dp_dt": lap_geo, "grad": -p[..., None] * D / (2.0 * t),
+            "lap": -lap_geo}
 
 
 _TWO_PI = 2.0 * math.pi
@@ -169,12 +170,12 @@ def _torus_fields(m: Torus, X, Y, t, full=True):
             hess[..., a, b] = field(a, b)
             if b != a:
                 hess[..., b, a] = hess[..., a, b]
+    out = {"hess": hess, "reliable": np.ones(D.shape[:-1], dtype=bool)}
     if not full:
-        return {"hess": hess}
-    grad = np.stack([field(a) for a in range(d)], axis=-1)
+        return out
     lap_geo = np.einsum("...ii->...", hess)
-    return {"p": field(), "dp_dt": lap_geo, "grad": grad, "lap": -lap_geo,
-            "hess": hess}
+    return {**out, "p": field(), "dp_dt": lap_geo, "lap": -lap_geo,
+            "grad": np.stack([field(a) for a in range(d)], axis=-1)}
 
 
 def _legendre_triples(c: np.ndarray, coeffs: np.ndarray):
@@ -250,13 +251,13 @@ def _sphere_fields(m: Sphere, X, Y, t, full=True):
     # orthonormal tangent frame F gives the frame Hessian since F F^T = I
     hess = (p_uu[..., None, None] * Y[..., :, None] * Y[..., None, :]
             - (p_u * u / a2)[..., None, None] * np.eye(3))
+    out = {"hess": hess, "reliable": reliable}
     if not full:
-        return {"hess": hess, "reliable": reliable}
+        return out
     pt = -_legendre_triples(cgrid, coeffs * rates)[0]
     grad = p_u[..., None] * (Y - (u / a2)[..., None] * X)
     lap_geo = p_uu * (a2 - u ** 2 / a2) - p_u * u / a2 * m.dim
-    return {"p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo, "hess": hess,
-            "reliable": reliable}
+    return {**out, "p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo}
 
 
 # -- hyperbolic cores (unit curvature), scaled for general curvature ---------
@@ -384,12 +385,13 @@ def _hyperbolic_fields(m: Hyperbolic, X, Y, t, full=True):
     tangential = np.where(small, d2p, coth * dp)
     hess = (radial[..., None, None] * W[..., :, None] * W[..., None, :]
             + tangential[..., None, None] * np.diag(m.metric_sign()))
+    out = {"hess": hess, "reliable": np.ones(rho.shape, dtype=bool)}
     if not full:
-        return {"hess": hess}
+        return out
     slope = np.where(small, 0.0, -dp / s)
     grad = slope[..., None] * (W + (a * a * k)[..., None] * X)
     lap_geo = d2p + (m.dim - 1) * tangential
-    return {"p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo, "hess": hess}
+    return {**out, "p": p, "dp_dt": pt, "grad": grad, "lap": -lap_geo}
 
 
 _AMBIENT_CORES = ((Euclidean, _euclidean_fields), (Torus, _torus_fields),
@@ -400,7 +402,9 @@ _AMBIENT_CORES = ((Euclidean, _euclidean_fields), (Torus, _torus_fields),
 _PAIR_BLOCK = 1 << 15
 
 
-def _ambient_core(m: ManifoldModel):
+def _ambient_core(m: ManifoldModel, t: float):
+    if not (t > 0):
+        raise ValueError("t must be positive")
     for cls, core in _AMBIENT_CORES:
         if isinstance(m, cls):
             return core
@@ -417,17 +421,16 @@ def kernel_on_grid(m: ManifoldModel, X: np.ndarray, y: np.ndarray, t: float,
 
     ``lap`` carries the positive-operator sign, so ``dp_dt = -lap``, and
     ``hess`` holds components in ``frames`` (by default ``m.frame(X)``).
-    On the sphere ``reliable[i]`` is false where the spectral sum lost
-    relative accuracy to cancellation (x_i near the antipode of y at small
-    t); its truncation at t / a^2 < 1e-4 raises :class:`OracleError`.
+    ``reliable[i]`` is false where the sphere's spectral sum lost relative
+    accuracy to cancellation (x_i near the antipode of y at small t), true on
+    the other models; the sphere's truncation at t / a^2 < 1e-4 raises.
     """
-    if not (t > 0):
-        raise ValueError("t must be positive")
+    core = _ambient_core(m, t)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if frames is None:
         frames = m.frame(X)
-    out = _ambient_core(m)(m, X, y[None, :], t)
+    out = core(m, X, y[None, :], t)
     out["hess"] = _frame_contract(frames, out["hess"])
     return out
 
@@ -446,9 +449,7 @@ def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
     once per target at the end.  Every model with a kernel oracle: R^d,
     T^d, S^2, H^2 and H^3.
     """
-    if not (t > 0):
-        raise ValueError("t must be positive")
-    core = _ambient_core(m)
+    core = _ambient_core(m, t)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -468,13 +469,18 @@ def kernel_hess_quadrature(m: ManifoldModel, X: np.ndarray, Y: np.ndarray,
             hb = out["hess"]
             acc[i0:i0 + nx] += np.matmul(coef[j0:j0 + ny],
                                          hb.reshape(hb.shape[:2] + (amb * amb,)))
-            if "reliable" in out:
-                reliable[i0:i0 + nx] &= np.all(out["reliable"], axis=1)
+            reliable[i0:i0 + nx] &= np.all(out["reliable"], axis=1)
     return _frame_contract(frames, acc.reshape(n, amb, amb)), reliable
 
 
 # ---------------------------------------------------------------------------
 # quadrature grids
+
+def _grid_resolution(resolution: int) -> None:
+    """The rule on ``grid_resolution``, the checks' key for ``resolution``."""
+    if resolution < 2:
+        raise ValueError(f"grid_resolution = {resolution}: must be at least 2")
+
 
 def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
     """Deterministic grid integrating against the Riemannian volume measure.
@@ -491,8 +497,7 @@ def quadrature_grid(m: ManifoldModel, resolution: int) -> QuadratureGrid:
       a = 1, where coordinates carry ~eps x0^2 of round-off; the kernel
       core integrates over them, but a walk started there diverges
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _grid_resolution(resolution)
     if isinstance(m, Torus):
         ax = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
         grids = np.meshgrid(*([ax] * m.dim), indexing="ij")

@@ -219,6 +219,12 @@ def _sets(*values):
     return [list(v) if np.ndim(v) else [v] for v in values]
 
 
+def _even_paths(n_paths: int, antithetic: bool) -> None:
+    if antithetic and n_paths % 2:
+        raise ValueError(f"n_paths = {n_paths}: antithetic estimation needs an "
+                         f"even path count (set antithetic = false for an odd one)")
+
+
 def _chunk_groups(n_paths, antithetic: bool, chunk_size: int):
     """(set, path_lo, path_hi) of every chunk of every path set, in (set,
     chunk) order; a chunk is ``chunk_size`` units, a unit being a path or,
@@ -226,8 +232,7 @@ def _chunk_groups(n_paths, antithetic: bool, chunk_size: int):
     per_unit = 2 if antithetic else 1
     groups = []
     for i, n in enumerate(n_paths):
-        if antithetic and n % 2:
-            raise ValueError("antithetic estimation needs an even path count")
+        _even_paths(n, antithetic)
         units = n // per_unit
         groups += [(i, per_unit * lo, per_unit * min(lo + chunk_size, units))
                    for lo in range(0, units, chunk_size)]
@@ -425,6 +430,13 @@ def _require_oracles(f: ScalarField, mode: Optional[str]) -> None:
                          f"Laplacian oracles that mixed mode needs")
 
 
+def _hess_mode(f: ScalarField, mode: str) -> None:
+    """The Hessian estimators' rule: bismut, or mixed with f's oracles."""
+    if mode not in ("bismut", "mixed"):
+        raise ValueError(f"mode = {mode!r}: must be 'bismut' or 'mixed'")
+    _require_oracles(f, mode)
+
+
 def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w, mode: str, *, t, h,
                 seed, n_paths, antithetic: bool = True,
                 chunk_size: int = DEFAULT_CHUNK, threads: Optional[int] = None,
@@ -455,9 +467,7 @@ def _hess_nodes(m: ManifoldModel, f: ScalarField, x, v, w, mode: str, *, t, h,
     |Hess f|_HS^2 at its endpoint and the P x P Gram matrix of its
     W_t(v_p, w_p), row major.
     """
-    if mode not in ("bismut", "mixed"):
-        raise ValueError("mode must be 'bismut' or 'mixed'")
-    _require_oracles(f, mode)
+    _hess_mode(f, mode)
     d = m.dim
     kappa = m.sectional_curvature
     one_pair = isinstance(v, TangentVector)
@@ -687,8 +697,7 @@ def estimate_green_hess(m: ManifoldModel, f: ScalarField, x: Point,
     thread count; ``notes`` records the pilot and main path-steps and the
     node count range.
     """
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic estimation needs an even path count")
+    _even_paths(n_paths, antithetic)
     sigma = cfg.sigma
     theta, rate, t_max = _green_horizon(m, cfg)
     if rate <= 0:

@@ -111,11 +111,25 @@ def _full_lattice(degree: int, dim: int) -> np.ndarray:
     return K[np.any(K != 0, axis=1)]
 
 
+def _family_rules(m, degree: int = 1) -> None:
+    """The random families' rules, naming the key at fault: spherical fields
+    live on the unit 2-sphere, and every field has a level 1 <= l <= degree."""
+    if isinstance(m, Sphere) and (m.dim != 2 or m.radius != 1.0):
+        key = f"dim = {m.dim}" if m.dim != 2 else f"radius = {m.radius:g}"
+        raise ValueError(f"{key}: spectral sphere fields need the unit 2-sphere")
+    if degree < 1:
+        raise ValueError(f"degree = {degree}: must be at least 1")
+
+
+def _two_torus(dim: int) -> None:
+    if dim != 2:
+        raise ValueError(f"dim = {dim}: the Bochner residual is for the 2-torus")
+
+
 def random_trig_polynomials(m: Torus, degree: int, count: int,
                             rng: np.random.Generator) -> List[TrigPolynomial]:
     """Random real band-limited fields, |k|_inf <= degree, zero mean."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    _family_rules(m, degree)
     K = _full_lattice(degree, m.dim)
     # pick one representative per +-k pair for independent draws
     rep = K[np.lexsort(K.T[::-1])]
@@ -140,9 +154,7 @@ def torus_bochner_residual(u: TrigPolynomial) -> float:
 
 def _torus_bochner_terms(u: TrigPolynomial):
     """``torus_bochner_residual`` and the largest node |Hess u|_HS^2."""
-    d = u.dim
-    if d != 2:
-        raise ValueError("FFT residual implemented for the 2-torus")
+    _two_torus(u.dim)
     n = 64
     ax = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     XX, YY = np.meshgrid(ax, ax, indexing="ij")
@@ -328,10 +340,7 @@ class SphericalPolynomial:
 
 def random_spherical_polynomials(m: Sphere, degree: int, count: int,
                                  rng: np.random.Generator) -> List[SphericalPolynomial]:
-    if m.dim != 2 or abs(m.radius - 1.0) > 0:
-        raise ValueError("spectral sphere fields require the unit 2-sphere")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    _family_rules(m, degree)
     out = []
     for _ in range(count):
         terms = []

@@ -45,6 +45,7 @@ from .geometry import (
 from .oracle import (
     OracleError,
     QuadratureGrid,
+    _grid_resolution,
     kernel_hess_quadrature,
     kernel_on_grid,
     lp_norm,
@@ -59,6 +60,8 @@ from .spectral import (
     TrigPolynomial,
     _sphere_bochner_terms,
     _torus_bochner_terms,
+    _family_rules,
+    _two_torus,
 )
 from .transport import _grid_steps
 
@@ -115,8 +118,7 @@ class BoundCheckConfig:
         if not (0.0 < self.beta < 2.0 * self.alpha):
             raise ValueError(
                 f"beta = {self.beta} violates beta < 2*alpha (alpha = {self.alpha})")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
+        _grid_resolution(self.grid_resolution)
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         self.rho_grid = np.asarray(self.rho_grid, dtype=float)
         self.s_grid = np.asarray(self.s_grid, dtype=float)
@@ -246,7 +248,7 @@ def _kernel_bound_constants(m: ManifoldModel, cfg: BoundCheckConfig,
     hess_ratio = []
     for t in t_grid:
         out = kernel_on_grid(m, X, y, float(t))
-        reliable = out.get("reliable", np.ones(len(X), dtype=bool))
+        reliable = out["reliable"]
         vol = m.ball_volume(math.sqrt(t))
         hnorm = _opnorm(out["hess"])
         for i, rho in enumerate(rho_grid):
@@ -586,6 +588,22 @@ def _semigroup_samples(m: ManifoldModel, f: ScalarField, x: Point, t: float,
     return sm
 
 
+def _stat_paths(n_paths: int) -> None:
+    if n_paths < MIN_STAT_PATHS:
+        raise ValueError(f"n_paths = {n_paths}: the statistical checks need "
+                         f"at least {MIN_STAT_PATHS} paths")
+
+
+def _horizons(t_list: Sequence[float], zero: bool = False) -> List[float]:
+    """``t_list`` as floats: non-empty, positive (non-negative with ``zero``)."""
+    times = [float(t) for t in t_list]
+    if not times or min(times) < 0 or (min(times) == 0 and not zero):
+        sign = "non-negative" if zero else "positive"
+        raise ValueError(f"t_list = {t_list!r}: must be a non-empty list of "
+                         f"{sign} times")
+    return times
+
+
 def _step_groups(t_list: Sequence[float], h: float):
     """[step, indices] of the horizons of ``t_list`` whose walks take equal
     steps t / n (n = round(t / h), at least 2); indices sorted by horizon,
@@ -630,13 +648,11 @@ def check_semigroup_bounds(m: ManifoldModel, f: ScalarField,
     that want only the Monte Carlo reports (a) and (c); its report is then
     returned empty and marked not passed with an explanatory note.
     """
-    if n_paths < MIN_STAT_PATHS:
-        raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
+    _stat_paths(n_paths)
     _require_oracles(f, "mixed")
     K = m.ricci_lower_bound
     theta = default_theta(m)
-    if t_list is None:
-        t_list = [0.25, 0.5, 1.0]
+    t_list = _horizons([0.25, 0.5, 1.0] if t_list is None else t_list)
     if x_list is None:
         g = np.random.Generator(np.random.Philox(key=derive_seed(seed, 7)))
         x_list = [Point(p) for p in m.random_points(g, 5, spread=0.5)]
@@ -725,10 +741,10 @@ def _hess_field_norm(m: ManifoldModel, f: ScalarField, t: float,
 # Kato functional
 
 def _kato_grid(t_list: Sequence[float], h: Optional[float] = None):
-    """Sorted marks, the step count over [0, t_max] and each mark's step
-    index; the walk takes round(t_max / h) steps (h defaults to t_max / 200)
-    and every mark must fall on one of them."""
-    t_list = sorted(float(t) for t in t_list)
+    """Sorted marks (non-negative), the step count over [0, t_max] and each
+    mark's step index; the walk takes round(t_max / h) steps (h defaults to
+    t_max / 200) and every mark must fall on one of them."""
+    t_list = sorted(_horizons(t_list, zero=True))
     t_max = t_list[-1]
     if h is None:
         h = t_max / 200.0
@@ -755,8 +771,7 @@ def kato_functional(m: ManifoldModel, potential: ScalarField,
     log exponential moments against t.  The step grid is that of
     :func:`_kato_grid`.
     """
-    if n_paths < MIN_STAT_PATHS:
-        raise ValueError(f"statistical checks need >= {MIN_STAT_PATHS} paths")
+    _stat_paths(n_paths)
     t_list, n_steps, marks = _kato_grid(t_list, h)
     t_max = t_list[-1]
     rows = {t: {"t": t, "functional": -math.inf, "functional_se": 0.0,
@@ -836,13 +851,30 @@ def _kato_snapshots(walk, potential, marks):
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund ratio scans
 
-def _spectral_family_check(family) -> str:
-    if all(isinstance(u, TrigPolynomial) for u in family):
-        return "torus"
-    if all(isinstance(u, SphericalPolynomial) for u in family):
-        return "sphere"
-    raise ValueError(
-        "cz_scan needs a family of band-limited spectral fields")
+def _cz_inputs(m: ManifoldModel, p: float,
+              grid_resolution: Optional[int] = None) -> str:
+    """The scan's rules but the family's: p > 1, a torus (the 2-torus at
+    p = 2) or the unit 2-sphere, and ``grid_resolution``; returns m.kind."""
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    if isinstance(m, Sphere):
+        _family_rules(m)
+    elif not isinstance(m, Torus):
+        raise ValueError(f"kind = {m.kind!r}: the CZ scan runs on a torus or the unit sphere")
+    elif p == 2.0:
+        _two_torus(m.dim)
+    if grid_resolution is not None:
+        _grid_resolution(grid_resolution)
+    return m.kind
+
+
+def _family_sizes(family_sizes: Sequence[int]) -> List[int]:
+    """The scan's nested sizes, sorted and distinct, non-empty and positive."""
+    sizes = sorted({int(n) for n in family_sizes}) if np.ndim(family_sizes) == 1 else []
+    if not sizes or sizes[0] < 1:
+        raise ValueError(f"family_sizes = {family_sizes!r}: must be a non-empty "
+                         f"list of positive sizes")
+    return sizes
 
 
 # entries of one node block of the torus scan's complex (nodes, modes) phase
@@ -944,8 +976,8 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
 
     The scan is exact spectral only: the family must be band-limited
     trigonometric polynomials on a torus or spherical polynomials on the
-    unit 2-sphere.  The torus Bochner residual is for the 2-torus, so p = 2
-    on another torus is a ValueError, raised before the scan.
+    unit 2-sphere.  The input rules (:func:`_cz_inputs`, :func:`_family_sizes`)
+    are checked before the scan.
 
     Memory: on the sphere the scan holds the harmonic tables plus one block
     of 32 fields (the remainder joins the last block), and reduces each block
@@ -954,25 +986,17 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
     shipped ``configs/czscan_t2_p2.toml`` payload is pinned bit for bit, and a
     column-blocked complex product is not known to round the same.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    kind = _spectral_family_check(family)
-    if kind == "torus" and not isinstance(m, Torus):
-        raise ValueError("torus family needs a torus model")
-    if kind == "sphere" and not (isinstance(m, Sphere) and m.dim == 2
-                                 and m.radius == 1.0):
-        raise ValueError("sphere family needs the unit 2-sphere")
-    if kind == "torus" and p == 2.0 and m.dim != 2:
-        raise ValueError("p = 2 on the torus needs dim 2: the Bochner "
-                         "residual is implemented for the 2-torus")
+    kind = _cz_inputs(m, p, grid_resolution)
+    field_type = TrigPolynomial if kind == "torus" else SphericalPolynomial
+    if not all(isinstance(u, field_type) for u in family):
+        raise ValueError(f"kind = {kind!r}: the scan takes {field_type.__name__} fields")
+    family_sizes = _family_sizes([max(1, len(family) // 4), len(family)]
+                                 if family_sizes is None else family_sizes)
+    if family_sizes[-1] > len(family):
+        raise ValueError("family_sizes exceed the family length")
     if grid_resolution is None:
         grid_resolution = 64 if kind == "torus" else 28
     grid = quadrature_grid(m, grid_resolution)
-    if family_sizes is None:
-        family_sizes = [max(1, len(family) // 4), len(family)]
-    family_sizes = sorted(set(int(n) for n in family_sizes))
-    if family_sizes[-1] > len(family):
-        raise ValueError("family_sizes exceed the family length")
 
     def norms(block):
         if math.isinf(p):
@@ -1026,10 +1050,7 @@ def cz_scan(m: ManifoldModel, family: Sequence, p: float, sigma: float,
         bochner_max = max([0.0, *(res for res, _ in terms)])
         hess_peak = max(peak for _, peak in terms)
     finite = all(math.isfinite(s["resolvent_ratio"]) for s in samples)
-    growth_ok = True
-    for (n1, m1), (n2, m2) in zip(running_max[:-1], running_max[1:]):
-        if not _stable(m1, m2):
-            growth_ok = False
+    growth_ok = all(_stable(a, b) for (_, a), (_, b) in zip(running_max, running_max[1:]))
     passed = finite and growth_ok and (
         p != 2.0 or bochner_max <= 1e-8 * max(1.0, hess_peak))
     notes = (f"p={p:g} sigma={sigma:g} family={len(family)} "

@@ -1,14 +1,19 @@
 """CLI runner: config validation, outputs, exit codes, reproducibility."""
 
+import ast
 import csv
 import hashlib
 import json
 import math
 import os
+import pathlib
 import re
+import warnings
 
+import numpy as np
 import pytest
 
+import mheat
 from mheat import cli, verify
 from mheat.cli import (
     ConfigError,
@@ -16,7 +21,18 @@ from mheat.cli import (
     list_builtin,
     load_config,
     main,
+    make_field,
+    make_potential,
     run_config,
+)
+from mheat.geometry import Point, TangentVector, make_manifold
+from mheat.semigroup import HessianEstimatorConfig, estimate_green_hess, estimate_pt
+from mheat.spectral import random_spherical_polynomials, random_trig_polynomials
+from mheat.verify import (
+    BoundCheckConfig,
+    check_semigroup_bounds,
+    cz_scan,
+    kato_functional,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -757,3 +773,122 @@ def test_error_line_is_found_in_the_keys_table(tmp_path, bad, line):
     cfg = write(tmp_path, text)
     with pytest.raises(ConfigError, match=rf"^{re.escape(cfg)}:{line}: "):
         load_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# one statement per input rule: the library raises it, the plan calls it
+
+def _scan(kind, dim, radius, degree, sizes, **opts):
+    # the family and the scan a czscan config runs, seed 11
+    m = make_manifold(kind, dim, radius=radius)
+    make = random_trig_polynomials if kind == "torus" else random_spherical_polynomials
+    fam = make(m, degree, max(sizes, default=10),
+               np.random.Generator(np.random.Philox(key=np.uint64(11))))
+    return cz_scan(m, fam, p=2.0, sigma=1.0, family_sizes=sizes, **opts)
+
+
+S2 = make_manifold("sphere", 2)
+X0 = Point(S2.base_point())
+
+
+def _green_bogus_mode():
+    v = TangentVector(X0, S2.frame(S2.base_point()[None, :])[0][0])
+    with warnings.catch_warnings():
+        # sigma = 1 meets the growth rate 2K + theta on the unit S^2
+        warnings.simplefilter("ignore")
+        return estimate_green_hess(S2, make_field(S2, "coord-z", None), X0, v, v,
+                                   HessianEstimatorConfig(n_nodes=4), n_paths=1000,
+                                   h=0.005, seed=1, mode="bogus")
+
+
+def _czscan_cfg(kind, dim, radius, degree, sizes):
+    return CZSCAN_CFG.format(out="out", kind=kind, dim=dim, radius=radius,
+                             degree=degree, sizes=sizes)
+
+
+PARITY_PROBES = {
+    # the probes of test_czscan_unrunnable_config_is_config_error
+    "sphere-radius": (_czscan_cfg("sphere", 2, 2.0, 4, "[5, 10]"),
+                      lambda: _scan("sphere", 2, 2.0, 4, [5, 10])),
+    "sphere-dim": (_czscan_cfg("sphere", 3, 1.0, 4, "[5, 10]"),
+                   lambda: _scan("sphere", 3, 1.0, 4, [5, 10])),
+    "degree-0": (_czscan_cfg("sphere", 2, 1.0, 0, "[5, 10]"),
+                 lambda: _scan("sphere", 2, 1.0, 0, [5, 10])),
+    "no-sizes": (_czscan_cfg("torus", 2, 1.0, 4, "[]"),
+                 lambda: _scan("torus", 2, 1.0, 4, [])),
+    "torus-dim-p2": (_czscan_cfg("torus", 3, 1.0, 1, "[5, 10]"),
+                     lambda: _scan("torus", 3, 1.0, 1, [5, 10])),
+    # the czscan probe of test_parameter_error_is_config_error
+    "grid_resolution-1": (
+        PARAM_CFG.format(kind="czscan", top="seed = 1", out="out",
+                         params="family_sizes = [2, 4]\ngrid_resolution = 1"),
+        lambda: _scan("sphere", 2, 1.0, 8, [2, 4], grid_resolution=1)),
+    # the probes of test_unrunnable_path_count_is_config_error
+    "semigroup-bounds": (
+        PATH_COUNT_CFG.format(kind="verify", n_paths=500, out="out",
+                              params='check = "semigroup-bounds"'),
+        lambda: check_semigroup_bounds(S2, make_field(S2, "gauss-bump", None),
+                                       BoundCheckConfig(), n_paths=500, seed=1)),
+    "kato": (
+        PATH_COUNT_CFG.format(kind="verify", n_paths=500, out="out",
+                              params='check = "kato"'),
+        lambda: kato_functional(S2, make_potential(S2, "const", None), [0.5],
+                                [X0], n_paths=500, seed=1)),
+    "antithetic-odd": (
+        PATH_COUNT_CFG.format(kind="estimate", n_paths=1001, out="out",
+                              params='op = "pt"\nfield = "coord-z"'),
+        lambda: estimate_pt(S2, make_field(S2, "coord-z", None), X0, 0.5,
+                            n_paths=1001, h=0.005, seed=1)),
+    # the mode probe of test_parameter_error_is_config_error
+    "mode-bogus": (
+        PARAM_CFG.format(kind="estimate", top="seed = 1", out="out",
+                         params='op = "green-hess"\nfield = "coord-z"\n'
+                                'n_nodes = 4\nmode = "bogus"'),
+        _green_bogus_mode),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PARITY_PROBES))
+def test_config_error_is_the_library_error(tmp_path, probe):
+    # a config and a library call with the same input get the same message
+    text, library_call = PARITY_PROBES[probe]
+    cfg = write(tmp_path, text)
+    with pytest.raises(ConfigError) as config_error:
+        load_config(cfg)
+    prefix = re.match(rf"{re.escape(cfg)}:\d+: ", str(config_error.value))
+    assert prefix is not None
+    with pytest.raises(ValueError) as library_error:
+        library_call()
+    assert str(config_error.value)[prefix.end():] == str(library_error.value)
+
+
+# each consolidated rule: a pattern of its message and the one function,
+# by its module and top-level name, that raises it
+RULE_SITES = {
+    "statistical path minimum": (r"\bMIN_STAT_PATHS\b", ("verify", "_stat_paths")),
+    "antithetic parity": (r"antithetic.*even|even.*antithetic",
+                          ("semigroup", "_even_paths")),
+    "Hessian mode": (r"bismut\W+(or|\|)\W+mixed", ("semigroup", "_hess_mode")),
+    "unit 2-sphere": (r"unit 2-sphere", ("spectral", "_family_rules")),
+    "2-torus at p = 2": (r"2-torus", ("spectral", "_two_torus")),
+    "family_sizes": (r"positive sizes", ("verify", "_family_sizes")),
+}
+
+
+def test_each_input_rule_has_one_raise_site():
+    found = {rule: set() for rule in RULE_SITES}
+    for path in sorted(pathlib.Path(mheat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise):
+                    continue
+                # the raise's string pieces and the names it formats
+                text = " ".join(
+                    n.id if isinstance(n, ast.Name) else n.value
+                    for n in ast.walk(node) if isinstance(n, ast.Name)
+                    or (isinstance(n, ast.Constant) and isinstance(n.value, str)))
+                for rule, (pattern, _) in RULE_SITES.items():
+                    if re.search(pattern, text):
+                        found[rule].add((path.stem, getattr(top, "name", "<module>")))
+    assert found == {rule: {site} for rule, (_, site) in RULE_SITES.items()}

@@ -41,8 +41,7 @@ def _reference_quadrature(m, X, Y, coef, t):
             continue
         out = kernel_on_grid(m, X, y, t, frames=frames)
         H += c * out["hess"]
-        if "reliable" in out:
-            reliable &= out["reliable"]
+        reliable &= out["reliable"]
     return H, reliable
 
 

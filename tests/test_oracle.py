@@ -50,7 +50,7 @@ def test_heat_equation_residual(m):
     ts = g.uniform(0.08, 2.0, size=100)
     for i in range(100):
         ev = kernel_on_grid(m, X[i:i + 1], Y[i], float(ts[i]))
-        assert ev.get("reliable", [True])[0]
+        assert ev["reliable"][0]
         scale = max(ev["p"][0], 1e-3)
         assert abs(ev["dp_dt"][0] + ev["lap"][0]) < 1e-6 * max(1.0, scale), m.describe()
 
@@ -62,7 +62,7 @@ def test_hessian_trace_matches_laplacian(m):
     Y = m.random_points(g, 20, spread=0.5)
     for i in range(0, 20, 3):
         ev = kernel_on_grid(m, X[i:i + 1], Y[i], 0.4)
-        assert ev.get("reliable", [True])[0]
+        assert ev["reliable"][0]
         assert abs(np.trace(ev["hess"][0]) + ev["lap"][0]) < 1e-6
 
 

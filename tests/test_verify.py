@@ -273,6 +273,26 @@ def test_kato_superadditivity_constants():
     assert f[0.5] == pytest.approx(f[0.2] + f[0.3], abs=1e-12)
 
 
+@pytest.mark.parametrize("t_list", [[], [-0.5, 0.1, 1.0]], ids=["empty", "negative"])
+def test_kato_rejects_bad_marks(t_list):
+    # an empty list has no t_max, and a negative mark maps to a negative step
+    # whose row would read 0; both fail before any walk, naming the key
+    m = Sphere(2, 1.0)
+    with pytest.raises(ValueError, match=r"^t_list = .*non-negative times"):
+        kato_functional(m, const_field(m, 0.7), t_list, [Point(m.base_point())],
+                        n_paths=1000, seed=3)
+
+
+@pytest.mark.parametrize("t_list", [[], [0.0, 0.5], [-0.5]],
+                         ids=["empty", "zero", "negative"])
+def test_semigroup_bounds_rejects_bad_horizons(t_list):
+    # an empty list would pass with no rows at all
+    m = Euclidean(2)
+    with pytest.raises(ValueError, match=r"^t_list = .*positive times"):
+        check_semigroup_bounds(m, gaussian_bump_field(m), BoundCheckConfig(),
+                               n_paths=1000, seed=1, t_list=t_list)
+
+
 # ---------------------------------------------------------------------------
 # CZ scans
 
@@ -312,6 +332,16 @@ def test_cz_scan_rejects_bad_input():
         cz_scan(m, fam, p=1.0, sigma=1.0)
     with pytest.raises(ValueError):
         cz_scan(Sphere(2, 1.0), fam, p=2.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 8], [-3, 8]],
+                         ids=["empty", "zero", "negative"])
+def test_cz_scan_rejects_bad_family_sizes(sizes):
+    # [] had no running maximum at all, and a size below 1 was dropped,
+    # leaving one entry for the stability gate to pass on
+    fam = random_trig_polynomials(Torus(2), 4, 8, rng())
+    with pytest.raises(ValueError, match=r"^family_sizes = .*positive sizes"):
+        cz_scan(Torus(2), fam, p=4.0, sigma=1.0, family_sizes=sizes)
 
 
 def test_cz_scan_torus3_p2_fails_before_the_scan():
